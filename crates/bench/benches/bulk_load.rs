@@ -81,7 +81,6 @@ fn report() -> Vec<LoadScenario> {
 }
 
 fn bench(c: &mut Criterion) {
-    ridl_obs::init_from_env();
     let obs_before = ridl_obs::snapshot();
     let scenarios = report();
     let workers = std::thread::available_parallelism()

@@ -220,7 +220,6 @@ fn report_replay(sc: &LoadScenario, dir: &PathBuf) -> usize {
 }
 
 fn bench(c: &mut Criterion) {
-    ridl_obs::init_from_env();
     ridl_obs::init_tracing_from_env();
     let obs_before = ridl_obs::snapshot();
     let sc = build_load_scenario(TARGET_ROWS);

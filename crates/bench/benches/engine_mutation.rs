@@ -97,7 +97,6 @@ fn report() -> Vec<(usize, Database, MutationTarget)> {
 }
 
 fn bench(c: &mut Criterion) {
-    ridl_obs::init_from_env();
     // Under RIDL_TRACE_JSON the whole run is span-traced and exported as a
     // Chrome trace (CI validates the file with `ridl tracecheck`).
     ridl_obs::init_tracing_from_env();

@@ -17,7 +17,6 @@ use ridl_bench::pipeline::{run_macro, MacroConfig};
 use ridl_workloads::macrobench::MacroParams;
 
 fn bench(c: &mut Criterion) {
-    ridl_obs::init_from_env();
     ridl_obs::init_tracing_from_env();
     let obs_before = ridl_obs::snapshot();
     let cfg = MacroConfig {

@@ -3,14 +3,19 @@
 //! re-anchors) can read the performance trajectory of the repo without
 //! re-running old builds.
 //!
-//! The writer emits the JSON by hand (the workspace carries no serde);
-//! [`validate_artifact`] is the matching checker — a small strict JSON
-//! parser plus required-key and finite-number rules — run by CI and by
-//! `ridl benchcheck`.
+//! [`BenchArtifact::to_json`] renders the artifact through the
+//! workspace's one JSON module (`ridl_obs::json`: compact output with
+//! sorted keys), and [`BenchArtifact::from_json`] is the matching typed
+//! decoder, run by CI and by `ridl benchcheck`: every key is read from
+//! the object that owns it, every number must be finite and of the right
+//! kind, and `schema_version` decides which optional blocks must be
+//! present.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+
+use ridl_obs::json::{self, obj, Json};
 
 /// Artifact schema version; bump when the layout changes shape.
 ///
@@ -22,7 +27,7 @@ use std::path::Path;
 /// v4 adds the `server` object: the many-client closed-loop server bench
 /// (sessions served, admission/backpressure rejects, client-observed
 /// read/write latency, reader latency under a write burst, and the
-/// cross-session commit-pipeline batch distribution). The validator still
+/// cross-session commit-pipeline batch distribution). The decoder still
 /// accepts v1–v3 artifacts committed by earlier PRs.
 pub const SCHEMA_VERSION: u64 = 4;
 
@@ -93,7 +98,7 @@ impl PhaseStat {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ClassCost {
     /// Constraint-class name (`key`, `foreign_key`, …).
-    pub class: &'static str,
+    pub class: String,
     /// Checks run.
     pub checks: u64,
     /// Violations reported (rejected statements produce these).
@@ -163,9 +168,9 @@ pub struct ServerSummary {
     /// connection neither admitted nor cleanly rejected, or a final row
     /// count that disagrees with the acknowledged writes. Must be zero.
     pub anomalies: u64,
-    /// Wall-clock seconds for the whole server bench.
+    /// Wall-clock seconds for the whole server bench (`server_seconds`).
     pub seconds: f64,
-    /// Reads + writes per wall-clock second.
+    /// Reads + writes per wall-clock second (`server_ops_per_sec`).
     pub ops_per_sec: f64,
     /// Client-observed read latency, median.
     pub read_p50_ns: u64,
@@ -232,7 +237,7 @@ pub struct BenchArtifact {
     /// Verified significant examples exercised against the engine.
     pub sigex_examples: u64,
     /// Constraint classes those examples covered.
-    pub sigex_classes: Vec<&'static str>,
+    pub sigex_classes: Vec<String>,
     /// Checkpoint cost summary (required at [`SCHEMA_VERSION`] 2).
     pub checkpoint: Option<CheckpointSummary>,
     /// WAL observability counters (required at [`SCHEMA_VERSION`] 3).
@@ -241,164 +246,268 @@ pub struct BenchArtifact {
     pub server: Option<ServerSummary>,
 }
 
-/// Formats a float: finite values in shortest-roundtrip form, non-finite
-/// values as `0` (the validator rejects non-finite spellings, so the
-/// writer must never emit them; phases guard their own divisions).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
+/// A float for the artifact: non-finite values become `0` (the decoder
+/// accepts only numbers here, so the writer must never emit the `null`
+/// a non-finite [`Json::Float`] renders as; phases guard their own
+/// divisions).
+fn num(v: f64) -> Json {
+    Json::Float(if v.is_finite() { v } else { 0.0 })
+}
+
+/// One JSON object under decode. Errors name the object's path and the
+/// key, so a misplaced block reads as missing from where it belongs.
+struct Fields<'a> {
+    map: &'a BTreeMap<String, Json>,
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    fn of(v: &'a Json, path: String) -> Result<Self, String> {
+        match v {
+            Json::Obj(map) => Ok(Self { map, path }),
+            _ => Err(format!("{path} is not an object")),
+        }
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .map
+            .get(key)
+            .ok_or_else(|| format!("{} is missing \"{key}\"", self.path))?;
+        read(v).ok_or_else(|| format!("{}.{key} is not {kind}", self.path))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer", Json::as_u64)
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    fn string(&self, key: &str) -> Result<String, String> {
+        self.typed(key, "a string", |v| v.as_str().map(str::to_owned))
+    }
+
+    /// A percentile of a phase: `null` when block-timed.
+    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.typed(key, "null or a non-negative integer", |v| match v {
+            Json::Null => Some(None),
+            v => v.as_u64().map(Some),
+        })
+    }
+
+    fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        let v = self.typed(key, "an object", Some)?;
+        Fields::of(v, format!("{}.{key}", self.path))
+    }
+
+    /// A non-empty array of objects, each decoded by `decode`.
+    fn list<T>(
+        &self,
+        key: &str,
+        decode: impl Fn(&Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.typed(key, "an array", Json::as_arr)?;
+        if items.is_empty() {
+            return Err(format!("{}.{key} is empty", self.path));
+        }
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| decode(&Fields::of(v, format!("{}.{key}[{i}]", self.path))?))
+            .collect()
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Generates `json`/`from_fields` for a flat artifact object. Each
+/// field names its kind — `int` (`u64`), `num` (finite `f64`), `str`
+/// (`String`) or `opt` (`Option<u64>`, `null` when absent) — and its JSON
+/// key, which is the artifact's schema.
+macro_rules! json_block {
+    ($ty:ident { $($field:ident: $kind:ident $key:literal),+ $(,)? }) => {
+        impl $ty {
+            fn json(&self) -> Json {
+                obj([$(($key, json_block!(@enc $kind self.$field))),+])
+            }
+
+            fn from_fields(f: &Fields) -> Result<Self, String> {
+                Ok(Self { $($field: json_block!(@dec $kind f $key)),+ })
+            }
         }
-    }
-    out.push('"');
-    out
+    };
+    (@enc num $v:expr) => { num($v) };
+    (@enc str $v:expr) => { Json::from($v.as_str()) };
+    (@enc $kind:ident $v:expr) => { Json::from($v) };
+    (@dec int $f:ident $key:literal) => { $f.u64($key)? };
+    (@dec num $f:ident $key:literal) => { $f.f64($key)? };
+    (@dec str $f:ident $key:literal) => { $f.string($key)? };
+    (@dec opt $f:ident $key:literal) => { $f.opt_u64($key)? };
 }
+
+json_block!(PhaseStat {
+    name: str "name",
+    seconds: num "seconds",
+    units: int "units",
+    per_second: num "per_second",
+    p50_ns: opt "p50_ns",
+    p90_ns: opt "p90_ns",
+    p99_ns: opt "p99_ns",
+});
+
+json_block!(ClassCost {
+    class: str "class",
+    checks: int "checks",
+    violations: int "violations",
+    nanos: int "nanos",
+});
+
+json_block!(WalStats {
+    replay_units: int "replay_units",
+    replay_ops: int "replay_ops",
+    replay_ops_per_sec: num "replay_ops_per_sec",
+    bytes: int "bytes",
+});
+
+json_block!(CheckpointSummary {
+    full_bytes: int "full_bytes",
+    full_seconds: num "full_seconds",
+    delta_bytes: int "delta_bytes",
+    delta_seconds: num "delta_seconds",
+    dirty_extents: int "dirty_extents",
+    total_extents: int "total_extents",
+    churn_rows: int "churn_rows",
+});
+
+json_block!(WalMetrics {
+    appends: int "appends",
+    append_bytes: int "append_bytes",
+    fsyncs: int "fsyncs",
+    checkpoints: int "checkpoints",
+    group_batch_p50: int "group_batch_p50",
+    group_batch_max: int "group_batch_max",
+    fsync_p99_ns: int "fsync_p99_ns",
+});
+
+json_block!(ServerSummary {
+    sessions: int "sessions",
+    peak_sessions: int "peak_sessions",
+    admission_rejects: int "admission_rejects",
+    busy_rejects: int "busy_rejects",
+    reads: int "reads",
+    writes: int "writes",
+    anomalies: int "anomalies",
+    seconds: num "server_seconds",
+    ops_per_sec: num "server_ops_per_sec",
+    read_p50_ns: int "read_p50_ns",
+    read_p99_ns: int "read_p99_ns",
+    write_p50_ns: int "write_p50_ns",
+    write_p99_ns: int "write_p99_ns",
+    burst_read_p99_ns: int "burst_read_p99_ns",
+    commit_batch_p50: int "commit_batch_p50",
+    commit_batch_max: int "commit_batch_max",
+});
 
 impl BenchArtifact {
-    /// Renders the artifact as pretty-printed JSON.
+    /// Renders the artifact as one line of compact JSON with sorted keys,
+    /// stamped with [`SCHEMA_VERSION`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        s.push_str(&format!("  \"pr\": {},\n", self.pr));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"target_rows\": {},\n", self.target_rows));
-        s.push_str(&format!("  \"rows_loaded\": {},\n", self.rows_loaded));
-        s.push_str(&format!("  \"tables\": {},\n", self.tables));
-        s.push_str(&format!("  \"constraints\": {},\n", self.constraints));
-        s.push_str("  \"phases\": [\n");
-        let opt = |v: Option<u64>| match v {
-            Some(n) => n.to_string(),
-            None => "null".to_owned(),
-        };
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": {}, \"seconds\": {}, \"units\": {}, \"per_second\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}{}\n",
-                json_str(&p.name),
-                num(p.seconds),
-                p.units,
-                num(p.per_second),
-                opt(p.p50_ns),
-                opt(p.p90_ns),
-                opt(p.p99_ns),
-                if i + 1 < self.phases.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"per_class\": [\n");
-        for (i, c) in self.per_class.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"class\": {}, \"checks\": {}, \"violations\": {}, \"nanos\": {}}}{}\n",
-                json_str(c.class),
-                c.checks,
-                c.violations,
-                c.nanos,
-                if i + 1 < self.per_class.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"wal\": {{\"replay_units\": {}, \"replay_ops\": {}, \"replay_ops_per_sec\": {}, \
-             \"bytes\": {}}},\n",
-            self.wal.replay_units,
-            self.wal.replay_ops,
-            num(self.wal.replay_ops_per_sec),
-            self.wal.bytes,
-        ));
-        s.push_str(&format!(
-            "  \"recovery\": {{\"seconds\": {}}},\n",
-            num(self.recovery_seconds)
-        ));
+        let mut fields = vec![
+            ("schema_version", Json::from(SCHEMA_VERSION)),
+            ("pr", self.pr.into()),
+            ("seed", self.seed.into()),
+            ("target_rows", self.target_rows.into()),
+            ("rows_loaded", self.rows_loaded.into()),
+            ("tables", self.tables.into()),
+            ("constraints", self.constraints.into()),
+            (
+                "phases",
+                Json::Arr(self.phases.iter().map(PhaseStat::json).collect()),
+            ),
+            (
+                "per_class",
+                Json::Arr(self.per_class.iter().map(ClassCost::json).collect()),
+            ),
+            ("wal", self.wal.json()),
+            ("recovery", obj([("seconds", num(self.recovery_seconds))])),
+            (
+                "sigex",
+                obj([
+                    ("examples", self.sigex_examples.into()),
+                    (
+                        "classes",
+                        Json::Arr(
+                            self.sigex_classes
+                                .iter()
+                                .map(|c| c.as_str().into())
+                                .collect(),
+                        ),
+                    ),
+                ]),
+            ),
+        ];
         if let Some(c) = &self.checkpoint {
-            s.push_str(&format!(
-                "  \"checkpoint\": {{\"full_bytes\": {}, \"full_seconds\": {}, \
-                 \"delta_bytes\": {}, \"delta_seconds\": {}, \"dirty_extents\": {}, \
-                 \"total_extents\": {}, \"churn_rows\": {}}},\n",
-                c.full_bytes,
-                num(c.full_seconds),
-                c.delta_bytes,
-                num(c.delta_seconds),
-                c.dirty_extents,
-                c.total_extents,
-                c.churn_rows,
-            ));
+            fields.push(("checkpoint", c.json()));
         }
         if let Some(w) = &self.wal_metrics {
-            s.push_str(&format!(
-                "  \"wal_metrics\": {{\"appends\": {}, \"append_bytes\": {}, \"fsyncs\": {}, \
-                 \"checkpoints\": {}, \"group_batch_p50\": {}, \"group_batch_max\": {}, \
-                 \"fsync_p99_ns\": {}}},\n",
-                w.appends,
-                w.append_bytes,
-                w.fsyncs,
-                w.checkpoints,
-                w.group_batch_p50,
-                w.group_batch_max,
-                w.fsync_p99_ns,
-            ));
+            fields.push(("wal_metrics", w.json()));
         }
-        if let Some(v) = &self.server {
-            s.push_str(&format!(
-                "  \"server\": {{\"sessions\": {}, \"peak_sessions\": {}, \
-                 \"admission_rejects\": {}, \"busy_rejects\": {}, \"reads\": {}, \
-                 \"writes\": {}, \"anomalies\": {}, \"server_seconds\": {}, \
-                 \"server_ops_per_sec\": {}, \"read_p50_ns\": {}, \"read_p99_ns\": {}, \
-                 \"write_p50_ns\": {}, \"write_p99_ns\": {}, \"burst_read_p99_ns\": {}, \
-                 \"commit_batch_p50\": {}, \"commit_batch_max\": {}}},\n",
-                v.sessions,
-                v.peak_sessions,
-                v.admission_rejects,
-                v.busy_rejects,
-                v.reads,
-                v.writes,
-                v.anomalies,
-                num(v.seconds),
-                num(v.ops_per_sec),
-                v.read_p50_ns,
-                v.read_p99_ns,
-                v.write_p50_ns,
-                v.write_p99_ns,
-                v.burst_read_p99_ns,
-                v.commit_batch_p50,
-                v.commit_batch_max,
-            ));
+        if let Some(s) = &self.server {
+            fields.push(("server", s.json()));
         }
-        s.push_str(&format!(
-            "  \"sigex\": {{\"examples\": {}, \"classes\": [{}]}}\n",
-            self.sigex_examples,
-            self.sigex_classes
-                .iter()
-                .map(|c| json_str(c))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        s.push_str("}\n");
-        s
+        format!("{}\n", obj(fields))
     }
 
-    /// Writes the artifact to `path` (the JSON is validated first, so a
-    /// buggy writer fails loudly instead of committing a bad artifact).
+    /// Decodes a parsed artifact of any schema version from 1 to
+    /// [`SCHEMA_VERSION`]. `checkpoint` is required from v2,
+    /// `wal_metrics` from v3 and `server` from v4; an older artifact
+    /// decodes with those blocks `None`. `phases` and `per_class` must be
+    /// non-empty.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let top = Fields::of(v, "artifact".into())?;
+        let version = top.u64("schema_version")?;
+        if !(1..=SCHEMA_VERSION).contains(&version) {
+            return Err(format!("unsupported artifact schema_version {version}"));
+        }
+        let since = |key: &str, first: u64| (version >= first).then(|| top.object(key)).transpose();
+        let sigex = top.object("sigex")?;
+        Ok(Self {
+            pr: top.u64("pr")?,
+            seed: top.u64("seed")?,
+            target_rows: top.u64("target_rows")?,
+            rows_loaded: top.u64("rows_loaded")?,
+            tables: top.u64("tables")?,
+            constraints: top.u64("constraints")?,
+            phases: top.list("phases", PhaseStat::from_fields)?,
+            per_class: top.list("per_class", ClassCost::from_fields)?,
+            wal: WalStats::from_fields(&top.object("wal")?)?,
+            recovery_seconds: top.object("recovery")?.f64("seconds")?,
+            sigex_examples: sigex.u64("examples")?,
+            sigex_classes: sigex.typed("classes", "an array of strings", |v| {
+                v.as_arr()?
+                    .iter()
+                    .map(|c| c.as_str().map(str::to_owned))
+                    .collect()
+            })?,
+            checkpoint: since("checkpoint", 2)?
+                .map(|f| CheckpointSummary::from_fields(&f))
+                .transpose()?,
+            wal_metrics: since("wal_metrics", 3)?
+                .map(|f| WalMetrics::from_fields(&f))
+                .transpose()?,
+            server: since("server", 4)?
+                .map(|f| ServerSummary::from_fields(&f))
+                .transpose()?,
+        })
+    }
+
+    /// Writes the artifact to `path` (the JSON is decoded again first, so
+    /// a buggy writer fails loudly instead of committing a bad artifact).
     pub fn write(&self, path: &Path) -> io::Result<()> {
         let text = self.to_json();
         validate_artifact(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -406,335 +515,10 @@ impl BenchArtifact {
     }
 }
 
-// ---- the validator: a strict little JSON scanner ----
-
-/// Keys that must appear somewhere in a valid artifact.
-const REQUIRED_KEYS: [&str; 25] = [
-    "schema_version",
-    "pr",
-    "seed",
-    "target_rows",
-    "rows_loaded",
-    "tables",
-    "constraints",
-    "phases",
-    "name",
-    "seconds",
-    "units",
-    "per_second",
-    "p50_ns",
-    "p90_ns",
-    "p99_ns",
-    "per_class",
-    "class",
-    "checks",
-    "violations",
-    "nanos",
-    "wal",
-    "replay_units",
-    "replay_ops",
-    "replay_ops_per_sec",
-    "bytes",
-];
-
-/// Keys the `checkpoint` object must carry at schema v2 and later.
-const CHECKPOINT_KEYS: [&str; 7] = [
-    "full_bytes",
-    "full_seconds",
-    "delta_bytes",
-    "delta_seconds",
-    "dirty_extents",
-    "total_extents",
-    "churn_rows",
-];
-
-/// Keys the `wal_metrics` object must carry at schema v3 and later.
-const WAL_METRICS_KEYS: [&str; 8] = [
-    "wal_metrics",
-    "appends",
-    "append_bytes",
-    "fsyncs",
-    "checkpoints",
-    "group_batch_p50",
-    "group_batch_max",
-    "fsync_p99_ns",
-];
-
-/// Keys the `server` object must carry at schema v4 and later. The
-/// seconds/ops keys are prefixed so they don't collide with the phase
-/// keys already in [`REQUIRED_KEYS`] (the validator checks key presence
-/// document-wide, so a bare `"seconds"` here would always pass).
-const SERVER_KEYS: [&str; 17] = [
-    "server",
-    "sessions",
-    "peak_sessions",
-    "admission_rejects",
-    "busy_rejects",
-    "reads",
-    "writes",
-    "anomalies",
-    "server_seconds",
-    "server_ops_per_sec",
-    "read_p50_ns",
-    "read_p99_ns",
-    "write_p50_ns",
-    "write_p99_ns",
-    "burst_read_p99_ns",
-    "commit_batch_p50",
-    "commit_batch_max",
-];
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    keys: BTreeSet<String>,
-    numbers: Vec<f64>,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-            keys: BTreeSet::new(),
-            numbers: Vec::new(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte '{}' at {}",
-                char::from(b),
-                self.pos
-            )),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.keys.insert(key);
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        let mut out = String::new();
-        while let Some(b) = self.peek() {
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b' | b'f') => out.push(' '),
-                        Some(b'u') => {
-                            // \uXXXX — accept and decode the BMP scalar.
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let s = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let n = u32::from_str_radix(s, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-        Err(format!("unterminated string starting at byte {start}"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let v: f64 = s
-            .parse()
-            .map_err(|_| format!("bad number '{s}' at byte {start}"))?;
-        if !v.is_finite() {
-            return Err(format!("non-finite number '{s}' at byte {start}"));
-        }
-        self.numbers.push(v);
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-}
-
-/// Validates the text of a `BENCH_*.json` artifact: it must be a single
-/// well-formed JSON document, every number must be finite, every
-/// [`REQUIRED_KEYS`] entry must appear, `schema_version` must match, and
-/// the `phases` and `per_class` arrays must be non-empty (their inner
-/// keys are in the required set, so an empty array fails the key check).
-pub fn validate_artifact(text: &str) -> Result<(), String> {
-    let mut sc = Scanner::new(text);
-    sc.skip_ws();
-    if sc.peek() != Some(b'{') {
-        return Err("artifact must be a JSON object".to_owned());
-    }
-    sc.object()?;
-    sc.skip_ws();
-    if sc.pos != sc.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", sc.pos));
-    }
-    for key in REQUIRED_KEYS {
-        if !sc.keys.contains(key) {
-            return Err(format!("missing required key \"{key}\""));
-        }
-    }
-    let version = extract_number(text, "schema_version")
-        .ok_or("artifact carries no schema_version number")?;
-    match version as u64 {
-        1 => {}
-        v @ 2..=4 => {
-            for key in CHECKPOINT_KEYS {
-                if !sc.keys.contains(key) {
-                    return Err(format!(
-                        "schema v{v} artifact missing checkpoint key \"{key}\""
-                    ));
-                }
-            }
-            if v >= 3 {
-                for key in WAL_METRICS_KEYS {
-                    if !sc.keys.contains(key) {
-                        return Err(format!(
-                            "schema v{v} artifact missing wal_metrics key \"{key}\""
-                        ));
-                    }
-                }
-            }
-            if v >= 4 {
-                for key in SERVER_KEYS {
-                    if !sc.keys.contains(key) {
-                        return Err(format!("schema v{v} artifact missing server key \"{key}\""));
-                    }
-                }
-            }
-        }
-        v => return Err(format!("unsupported artifact schema_version {v}")),
-    }
-    Ok(())
-}
-
-/// Pulls the numeric value of the *first* occurrence of `"key": <number>`
-/// out of an artifact. Only meaningful for keys that appear once (the
-/// top-level scalars and the `checkpoint` object fields).
-pub fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parses and decodes the text of a `BENCH_*.json` artifact: one
+/// well-formed JSON document that [`BenchArtifact::from_json`] accepts.
+pub fn validate_artifact(text: &str) -> Result<BenchArtifact, String> {
+    BenchArtifact::from_json(&json::parse(text)?)
 }
 
 /// Asserts that incremental checkpoints scale with *churn*, not with
@@ -760,39 +544,38 @@ pub fn extract_number(text: &str, key: &str) -> Option<f64> {
 /// all ~128 of its rows) lets the byte count creep with scale even
 /// though the rewrite is churn-bound; the ratio and the dirty-extent
 /// count are the quantization-immune observables.
-pub fn check_checkpoint_scaling(small: &str, large: &str) -> Result<(), String> {
-    validate_artifact(small).map_err(|e| format!("small artifact: {e}"))?;
-    validate_artifact(large).map_err(|e| format!("large artifact: {e}"))?;
-    let get = |text: &str, key: &str, which: &str| {
-        extract_number(text, key).ok_or(format!("{which} artifact has no \"{key}\" number"))
-    };
+pub fn check_checkpoint_scaling(
+    small: &BenchArtifact,
+    large: &BenchArtifact,
+) -> Result<(), String> {
     let mut ratios = [0.0f64; 2];
-    for (i, (text, which)) in [(small, "small"), (large, "large")].into_iter().enumerate() {
-        let full = get(text, "full_bytes", which)?;
-        let delta = get(text, "delta_bytes", which)?;
-        if full <= 0.0 || delta <= 0.0 {
+    for (i, (art, which)) in [(small, "small"), (large, "large")].into_iter().enumerate() {
+        let c = art
+            .checkpoint
+            .as_ref()
+            .ok_or(format!("{which} artifact has no checkpoint object"))?;
+        let (full, delta) = (c.full_bytes, c.delta_bytes);
+        if full == 0 || delta == 0 {
             return Err(format!(
                 "{which} run wrote an empty snapshot (full {full} bytes, delta {delta} bytes)"
             ));
         }
-        if get(text, "target_rows", which)? >= 20_000.0 && delta >= 0.20 * full {
+        if art.target_rows >= 20_000 && delta * 5 >= full {
             return Err(format!(
                 "{which} delta wrote {delta} bytes, not under 20% of the {full}-byte full snapshot"
             ));
         }
-        let dirty = get(text, "dirty_extents", which)?;
-        let churn = get(text, "churn_rows", which)?;
-        if dirty > churn {
+        if c.dirty_extents > c.churn_rows {
             return Err(format!(
-                "{which} delta rewrote {dirty} extents for only {churn} churned row ops — \
-                 incremental checkpoints are tracking state size, not churn"
+                "{which} delta rewrote {} extents for only {} churned row ops — \
+                 incremental checkpoints are tracking state size, not churn",
+                c.dirty_extents, c.churn_rows
             ));
         }
-        ratios[i] = delta / full;
+        ratios[i] = delta as f64 / full as f64;
     }
-    let small_rows = get(small, "rows_loaded", "small")?;
-    let large_rows = get(large, "rows_loaded", "large")?;
-    if large_rows < 3.0 * small_rows {
+    let (small_rows, large_rows) = (small.rows_loaded, large.rows_loaded);
+    if large_rows < 3 * small_rows {
         return Err(format!(
             "large run loaded {large_rows} rows, need at least 3x the small run's {small_rows}"
         ));
@@ -802,7 +585,7 @@ pub fn check_checkpoint_scaling(small: &str, large: &str) -> Result<(), String> 
         return Err(format!(
             "delta/full ratio went {small_ratio:.4} -> {large_ratio:.4} as state grew \
              {:.2}x — incremental checkpoints are tracking state size, not churn",
-            large_rows / small_rows
+            large_rows as f64 / small_rows as f64
         ));
     }
     Ok(())
@@ -825,7 +608,7 @@ mod tests {
                 PhaseStat::with_quantiles("traffic", 1.25, 200, 10_000, 20_000, 40_000),
             ],
             per_class: vec![ClassCost {
-                class: "key",
+                class: "key".into(),
                 checks: 123,
                 violations: 4,
                 nanos: 55_000,
@@ -838,7 +621,7 @@ mod tests {
             },
             recovery_seconds: 0.012,
             sigex_examples: 3,
-            sigex_classes: vec!["key", "foreign_key"],
+            sigex_classes: vec!["key".into(), "foreign_key".into()],
             checkpoint: Some(CheckpointSummary {
                 full_bytes: 500_000,
                 full_seconds: 0.05,
@@ -879,34 +662,67 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrips_through_validator() {
-        let text = sample().to_json();
-        validate_artifact(&text).expect("writer output validates");
+    fn artifact_roundtrips_through_the_decoder() {
+        let a = sample();
+        assert_eq!(validate_artifact(&a.to_json()), Ok(a));
     }
 
     #[test]
-    fn validator_rejects_missing_keys_and_bad_json() {
+    fn committed_artifacts_decode() {
+        for (pr, text) in [
+            (7, include_str!("../../../BENCH_7.json")),
+            (8, include_str!("../../../BENCH_8.json")),
+            (9, include_str!("../../../BENCH_9.json")),
+            (10, include_str!("../../../BENCH_10.json")),
+        ] {
+            let a = validate_artifact(text).unwrap_or_else(|e| panic!("BENCH_{pr}.json: {e}"));
+            assert_eq!(a.pr, pr);
+            assert_eq!(a.checkpoint.is_some(), pr >= 8, "BENCH_{pr}.json");
+            assert_eq!(a.server.is_some(), pr >= 10, "BENCH_{pr}.json");
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_misplaced_missing_and_malformed_input() {
         let text = sample().to_json();
-        let broken = text.replace("\"recovery\"", "\"recouvery\"");
-        // "recovery" is not in REQUIRED_KEYS but malformed JSON is caught.
-        validate_artifact(&broken).expect("key rename still parses");
-        let no_wal = text.replace("\"wal\"", "\"lawl\"");
-        assert!(validate_artifact(&no_wal).is_err(), "missing wal key");
+        // The `wal` block moved inside phases[0]: every key is still in
+        // the document, but not in the object that owns it.
+        let mut doc = json::parse(&text).unwrap();
+        let Json::Obj(top) = &mut doc else {
+            unreachable!()
+        };
+        let wal = top.remove("wal").unwrap();
+        let Some(Json::Arr(phases)) = top.get_mut("phases") else {
+            unreachable!()
+        };
+        let Json::Obj(first) = &mut phases[0] else {
+            unreachable!()
+        };
+        first.insert("wal".into(), wal);
+        let err = BenchArtifact::from_json(&doc).unwrap_err();
+        assert_eq!(err, "artifact is missing \"wal\"");
+
         assert!(validate_artifact("{").is_err(), "truncated");
         assert!(validate_artifact(&format!("{text} x")).is_err(), "trailing");
         let inf = text.replace("12345.6", "1e999");
         assert!(validate_artifact(&inf).is_err(), "non-finite number");
+        let neg = text.replace("\"units\":1}", "\"units\":-1}");
+        let err = validate_artifact(&neg).unwrap_err();
+        assert_eq!(
+            err,
+            "artifact.phases[0].units is not a non-negative integer"
+        );
     }
 
     #[test]
-    fn empty_phase_array_fails_required_keys() {
+    fn empty_phase_array_is_rejected() {
         let mut a = sample();
         a.phases.clear();
         assert!(validate_artifact(&a.to_json()).is_err());
     }
 
     #[test]
-    fn older_schema_versions_still_validate() {
+    fn older_schema_versions_still_decode() {
         let mut a = sample();
         a.checkpoint = None;
         let no_ckpt = a.to_json();
@@ -914,9 +730,10 @@ mod tests {
             validate_artifact(&no_ckpt).is_err(),
             "a v4 artifact must carry the checkpoint object"
         );
-        let v1 = no_ckpt.replace("\"schema_version\": 4", "\"schema_version\": 1");
-        validate_artifact(&v1).expect("legacy v1 layout validates");
-        let v9 = no_ckpt.replace("\"schema_version\": 4", "\"schema_version\": 9");
+        let v1 = no_ckpt.replace("\"schema_version\":4", "\"schema_version\":1");
+        let old = validate_artifact(&v1).expect("legacy v1 layout decodes");
+        assert!(old.wal_metrics.is_none() && old.server.is_none());
+        let v9 = no_ckpt.replace("\"schema_version\":4", "\"schema_version\":9");
         assert!(validate_artifact(&v9).is_err(), "unknown version rejected");
 
         // v2: checkpoint object present, no wal_metrics, numeric zero
@@ -930,11 +747,11 @@ mod tests {
             "a v4 artifact must carry the wal_metrics object"
         );
         let v2 = no_metrics
-            .replace("\"schema_version\": 4", "\"schema_version\": 2")
-            .replace("\"p50_ns\": null", "\"p50_ns\": 0")
-            .replace("\"p90_ns\": null", "\"p90_ns\": 0")
-            .replace("\"p99_ns\": null", "\"p99_ns\": 0");
-        validate_artifact(&v2).expect("legacy v2 layout validates");
+            .replace("\"schema_version\":4", "\"schema_version\":2")
+            .replace("\"p50_ns\":null", "\"p50_ns\":0")
+            .replace("\"p90_ns\":null", "\"p90_ns\":0")
+            .replace("\"p99_ns\":null", "\"p99_ns\":0");
+        validate_artifact(&v2).expect("legacy v2 layout decodes");
 
         // v3: wal_metrics present, no server object — the exact shape of
         // the committed BENCH_9.
@@ -945,8 +762,8 @@ mod tests {
             validate_artifact(&no_server).is_err(),
             "a v4 artifact must carry the server object"
         );
-        let v3 = no_server.replace("\"schema_version\": 4", "\"schema_version\": 3");
-        validate_artifact(&v3).expect("legacy v3 layout validates");
+        let v3 = no_server.replace("\"schema_version\":4", "\"schema_version\":3");
+        validate_artifact(&v3).expect("legacy v3 layout decodes");
     }
 
     #[test]
@@ -954,25 +771,16 @@ mod tests {
         let text = sample().to_json();
         // The block-timed `generate` phase has no latency distribution.
         assert!(
-            text.contains("\"name\": \"generate\", \"seconds\": 0.5, \"units\": 1, \"per_second\": 2, \"p50_ns\": null, \"p90_ns\": null, \"p99_ns\": null"),
+            text.contains("{\"name\":\"generate\",\"p50_ns\":null,\"p90_ns\":null,\"p99_ns\":null,\"per_second\":2,\"seconds\":0.5,\"units\":1}"),
             "{text}"
         );
         // The per-unit `traffic` phase keeps its numbers.
-        assert!(text.contains("\"p50_ns\": 10000"), "{text}");
-        validate_artifact(&text).expect("null percentiles validate at v4");
-    }
-
-    #[test]
-    fn extract_number_reads_scalars() {
-        let text = sample().to_json();
-        assert_eq!(extract_number(&text, "full_bytes"), Some(500_000.0));
-        assert_eq!(extract_number(&text, "rows_loaded"), Some(1042.0));
-        assert_eq!(extract_number(&text, "no_such_key"), None);
+        assert!(text.contains("\"p50_ns\":10000"), "{text}");
     }
 
     #[test]
     fn scaling_check_accepts_churn_bound_deltas_and_rejects_state_bound() {
-        let small = sample().to_json();
+        let small = sample();
         let mut big = sample();
         let c = big.checkpoint.as_mut().unwrap();
         // 4x the state: full grows 4x, delta stays put (pure churn).
@@ -980,18 +788,18 @@ mod tests {
         big.target_rows = 100_000;
         c.full_bytes *= 4;
         c.total_extents *= 4;
-        check_checkpoint_scaling(&small, &big.to_json()).expect("churn-bound delta passes");
+        check_checkpoint_scaling(&small, &big).expect("churn-bound delta passes");
 
         // A delta that keeps pace with the state is a tracking bug.
         let mut bad = big.clone();
         bad.checkpoint.as_mut().unwrap().delta_bytes *= 4;
-        let err = check_checkpoint_scaling(&small, &bad.to_json()).unwrap_err();
+        let err = check_checkpoint_scaling(&small, &bad).unwrap_err();
         assert!(err.contains("tracking state size"), "got: {err}");
 
         // At real scale the 20% acceptance bound applies.
         let mut fat = big.clone();
         fat.checkpoint.as_mut().unwrap().delta_bytes = fat.checkpoint.unwrap().full_bytes / 4;
-        assert!(check_checkpoint_scaling(&small, &fat.to_json()).is_err());
+        assert!(check_checkpoint_scaling(&small, &fat).is_err());
 
         // Comparable row counts are not a scaling experiment.
         assert!(check_checkpoint_scaling(&small, &small).is_err());

@@ -307,7 +307,10 @@ pub fn run_macro(cfg: &MacroConfig) -> Result<BenchArtifact, String> {
         t.elapsed().as_secs_f64(),
         examples.len() as u64,
     ));
-    let sigex_classes: Vec<&'static str> = examples.iter().map(|ex| ex.class.name()).collect();
+    let sigex_classes: Vec<String> = examples
+        .iter()
+        .map(|ex| ex.class.name().to_owned())
+        .collect();
 
     // Phase 7 — full checkpoint: a complete v2 base snapshot, WAL
     // truncated, extent geometry frozen for the delta below.
@@ -373,7 +376,7 @@ pub fn run_macro(cfg: &MacroConfig) -> Result<BenchArtifact, String> {
             .map(|&class| (class, diff.kind(class)))
             .filter(|(_, k)| k.checks > 0)
             .map(|(class, k)| ClassCost {
-                class: class.name(),
+                class: class.name().to_owned(),
                 checks: k.checks,
                 violations: k.violations,
                 nanos: k.nanos,

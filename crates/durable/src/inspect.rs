@@ -11,23 +11,23 @@
 //! another process owns, or against evidence you want preserved.
 //!
 //! The decode paths are the same strict ones recovery uses
-//! ([`decode_paged`], [`crate::snapshot::decode_snapshot`],
-//! [`scan_wal`]), so the inspector's verdict agrees with what
-//! `Database::open` would find: [`StoreStatus::verdict`] says `corrupt`
-//! exactly when recovery would refuse the store, `recoverable` when
-//! recovery would succeed but had something to clean up (torn tail,
-//! stale WAL, debris), `clean` when there is nothing to do, and `fresh`
-//! for an empty directory.
+//! ([`decode_paged`], [`scan_wal`], the retired-format refusal), so the
+//! inspector's verdict agrees with what `Database::open` would find:
+//! [`StoreStatus::verdict`] says `corrupt` exactly when recovery would
+//! refuse the store, `recoverable` when recovery would succeed but had
+//! something to clean up (torn tail, stale WAL, debris), `clean` when
+//! there is nothing to do, and `fresh` for an empty directory.
 
 use std::io;
 use std::path::Path;
 
+use ridl_obs::json::{obj, Json};
+
 use crate::io::DurableIo;
-use crate::pagesnap::{decode_paged, PagedSnap, SnapFlavor, SNAP2_MAGIC};
-use crate::snapshot::decode_snapshot;
+use crate::pagesnap::{decode_paged, PagedSnap, SnapFlavor};
 use crate::store::{
-    delta_file, probe_deltas, store_path, SNAP_FILE, SNAP_PREV_FILE, SNAP_TMP_FILE, WAL_FILE,
-    WAL_TMP_FILE,
+    delta_file, probe_deltas, refuse_legacy, store_path, SNAP_FILE, SNAP_PREV_FILE, SNAP_TMP_FILE,
+    WAL_FILE, WAL_TMP_FILE,
 };
 use crate::wal::scan_wal;
 
@@ -38,17 +38,15 @@ pub struct CheckpointInfo {
     pub file: String,
     /// File size in bytes.
     pub bytes: u64,
-    /// Snapshot format: 1 legacy text, 2 binary paged.
-    pub format: u8,
     /// `base` or `delta`.
     pub flavor: &'static str,
     /// Epoch stamped in the file.
     pub epoch: u64,
     /// Schema fingerprint stamped in the file.
     pub fingerprint: u64,
-    /// Extents carried by the file (v2 only; 0 for v1 text).
+    /// Extents carried by the file.
     pub extents_carried: u64,
-    /// Total extents in the file's geometry (v2 only; 0 for v1 text).
+    /// Total extents in the file's geometry.
     pub extents_total: u64,
     /// Whether this file participates in the live chain: true for the
     /// chosen base, and for each delta that links onto it.
@@ -130,37 +128,22 @@ impl StoreStatus {
     }
 }
 
-fn info_of(file: &str, bytes: &[u8]) -> Result<CheckpointInfo, String> {
-    if bytes.starts_with(SNAP2_MAGIC) {
-        let paged: PagedSnap = decode_paged(bytes).map_err(|e| e.0)?;
-        return Ok(CheckpointInfo {
-            file: file.to_string(),
-            bytes: bytes.len() as u64,
-            format: 2,
-            flavor: match paged.flavor {
-                SnapFlavor::Base => "base",
-                SnapFlavor::Delta => "delta",
-            },
-            epoch: paged.epoch,
-            fingerprint: paged.fingerprint,
-            extents_carried: paged.extents.len() as u64,
-            extents_total: paged.geometry.total_extents(),
-            chained: false,
-        });
-    }
-    let text = std::str::from_utf8(bytes).map_err(|_| "snapshot: not UTF-8".to_string())?;
-    let snap = decode_snapshot(text).map_err(|e| e.0)?;
-    Ok(CheckpointInfo {
+fn info_of(file: &str, bytes: &[u8]) -> Result<(CheckpointInfo, PagedSnap), String> {
+    let paged = decode_paged(bytes).map_err(|e| e.0)?;
+    let info = CheckpointInfo {
         file: file.to_string(),
         bytes: bytes.len() as u64,
-        format: 1,
-        flavor: "base",
-        epoch: snap.epoch,
-        fingerprint: snap.fingerprint,
-        extents_carried: 0,
-        extents_total: 0,
+        flavor: match paged.flavor {
+            SnapFlavor::Base => "base",
+            SnapFlavor::Delta => "delta",
+        },
+        epoch: paged.epoch,
+        fingerprint: paged.fingerprint,
+        extents_carried: paged.extents.len() as u64,
+        extents_total: paged.geometry.total_extents(),
         chained: false,
-    })
+    };
+    Ok((info, paged))
 }
 
 /// Inspects `dir` read-only. I/O errors propagate; everything else —
@@ -182,16 +165,22 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
     }
 
     // Decode both base slots; remember the paged form of each candidate
-    // for chain linking.
-    let mut candidates: Vec<(usize, Option<PagedSnap>, &'static str)> = Vec::new();
+    // for chain linking. A retired-format base refuses the whole store,
+    // exactly as in recovery.
+    let mut legacy = None;
+    let mut candidates: Vec<(usize, PagedSnap, &'static str)> = Vec::new();
     for file in [SNAP_FILE, SNAP_PREV_FILE] {
         let path = store_path(dir, file);
         if !io.exists(&path) {
             continue;
         }
         let bytes = io.read(&path)?;
+        if let Err(e) = refuse_legacy(file, &bytes) {
+            legacy.get_or_insert(e.0);
+            continue;
+        }
         match info_of(file, &bytes) {
-            Ok(info) => {
+            Ok((info, paged)) => {
                 // A delta in a base slot cannot anchor a chain — recovery
                 // rejects it (`decode_base`), so does the inspector.
                 if info.flavor == "delta" {
@@ -203,11 +192,6 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
                         .push(format!("{file}: holds a delta, not a base snapshot"));
                     continue;
                 }
-                let paged = if info.format == 2 {
-                    Some(decode_paged(&bytes).expect("decoded once already"))
-                } else {
-                    None
-                };
                 out.checkpoints.push(info);
                 candidates.push((out.checkpoints.len() - 1, paged, file));
             }
@@ -220,17 +204,16 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
 
     // Decode every delta file in probe order.
     let delta_seqs = probe_deltas(io, dir);
-    let mut deltas: Vec<(u32, usize, Option<PagedSnap>)> = Vec::new();
+    let mut deltas: Vec<(u32, usize, PagedSnap)> = Vec::new();
     for seq in &delta_seqs {
         let file = delta_file(*seq);
         let bytes = io.read(&store_path(dir, &file))?;
         match info_of(&file, &bytes) {
-            Ok(info) if info.flavor == "delta" && info.format == 2 => {
-                let paged = decode_paged(&bytes).expect("decoded once already");
+            Ok((info, paged)) if info.flavor == "delta" => {
                 out.checkpoints.push(info);
-                deltas.push((*seq, out.checkpoints.len() - 1, Some(paged)));
+                deltas.push((*seq, out.checkpoints.len() - 1, paged));
             }
-            Ok(info) => {
+            Ok((info, _)) => {
                 out.rejected
                     .push((file.clone(), "delta file does not hold a v2 delta".into()));
                 out.issues
@@ -274,32 +257,27 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
     // Chain linking against the chosen (first usable) base — the same
     // rule as recovery: d{k} belongs iff dense from 1 with epoch exactly
     // base+k and matching fingerprint + geometry.
-    if let Some((idx, paged, file)) = candidates.first() {
+    if let Some((idx, base, file)) = candidates.first() {
         out.base_file = Some(file);
         out.checkpoints[*idx].chained = true;
-        let base_epoch = out.checkpoints[*idx].epoch;
-        let base_fp = out.checkpoints[*idx].fingerprint;
-        let mut head_epoch = base_epoch;
-        if let Some(base) = paged {
-            let mut position = 0u32;
-            for (seq, didx, dp) in &deltas {
-                let d = dp.as_ref().expect("delta decoded");
-                let next = position + 1;
-                if *seq != next
-                    || d.epoch != base.epoch + next as u64
-                    || d.fingerprint != base.fingerprint
-                    || d.geometry != base.geometry
-                {
-                    break;
-                }
-                position = next;
-                out.checkpoints[*didx].chained = true;
+        let base_epoch = base.epoch;
+        let base_fp = base.fingerprint;
+        let mut position = 0u32;
+        for (seq, didx, d) in &deltas {
+            let next = position + 1;
+            if *seq != next
+                || d.epoch != base.epoch + next as u64
+                || d.fingerprint != base.fingerprint
+                || d.geometry != base.geometry
+            {
+                break;
             }
-            out.chain_len = position as usize;
-            head_epoch = base.epoch + position as u64;
+            position = next;
+            out.checkpoints[*didx].chained = true;
         }
+        out.chain_len = position as usize;
+        let head_epoch = base.epoch + position as u64;
         out.epoch = Some(head_epoch);
-        let _ = base_fp;
         for (seq, didx, _) in &deltas {
             if !out.checkpoints[*didx].chained {
                 let file = delta_file(*seq);
@@ -350,133 +328,77 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
             _ => {}
         }
     }
+    if legacy.is_some() {
+        out.corrupt = legacy;
+    }
 
     Ok(out)
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl StoreStatus {
-    /// Machine-readable JSON (one object, pretty enough to diff). The
-    /// schema is stable for CI: `verdict`, `epoch`, `chain`, `wal`,
-    /// `checkpoints`, `rejected`, `debris`, `orphans`, `issues`,
+    /// Machine-readable JSON: one compact object with sorted keys. The
+    /// schema is stable for CI: `dir`, `verdict`, `epoch`, `chain`,
+    /// `wal`, `checkpoints`, `rejected`, `debris`, `orphans`, `issues`,
     /// `corrupt`.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"dir\": \"{}\",\n", esc(&self.dir)));
-        s.push_str(&format!("  \"verdict\": \"{}\",\n", self.verdict()));
-        match self.epoch {
-            Some(e) => s.push_str(&format!("  \"epoch\": {e},\n")),
-            None => s.push_str("  \"epoch\": null,\n"),
-        }
-        s.push_str("  \"chain\": {");
-        match self.base_file {
-            Some(f) => s.push_str(&format!("\"base_file\": \"{f}\", ")),
-            None => s.push_str("\"base_file\": null, "),
-        }
+        let hex = |fp: u64| Json::from(format!("{fp:#018x}"));
+        let strings = |list: &[String]| Json::Arr(list.iter().map(|s| s.as_str().into()).collect());
         let base = self
             .checkpoints
             .iter()
             .find(|c| c.chained && c.flavor == "base");
-        match base {
-            Some(b) => s.push_str(&format!(
-                "\"format\": {}, \"base_epoch\": {}, \"deltas\": {}}},\n",
-                b.format, b.epoch, self.chain_len
-            )),
-            None => s.push_str(&format!(
-                "\"format\": 0, \"base_epoch\": null, \"deltas\": {}}},\n",
-                self.chain_len
-            )),
-        }
-        s.push_str("  \"wal\": {");
-        if self.wal.present {
-            match self.wal.header {
-                Some((e, fp)) => s.push_str(&format!(
-                    "\"present\": true, \"bytes\": {}, \"epoch\": {e}, \"fingerprint\": \"{fp:#018x}\", ",
-                    self.wal.bytes
-                )),
-                None => s.push_str(&format!(
-                    "\"present\": true, \"bytes\": {}, \"epoch\": null, \"fingerprint\": null, ",
-                    self.wal.bytes
-                )),
-            }
-            s.push_str(&format!(
-                "\"units\": {}, \"ops\": {}, \"committed_bytes\": {}, \"torn_bytes\": {}, \"stale\": {}}},\n",
-                self.wal.units,
-                self.wal.ops,
-                self.wal.committed_bytes,
-                self.wal.torn_bytes,
-                self.wal.stale
-            ));
+        let wal = if self.wal.present {
+            obj([
+                ("present", true.into()),
+                ("bytes", self.wal.bytes.into()),
+                ("epoch", self.wal.header.map(|(e, _)| e).into()),
+                ("fingerprint", self.wal.header.map(|(_, fp)| hex(fp)).into()),
+                ("units", self.wal.units.into()),
+                ("ops", self.wal.ops.into()),
+                ("committed_bytes", self.wal.committed_bytes.into()),
+                ("torn_bytes", self.wal.torn_bytes.into()),
+                ("stale", self.wal.stale.into()),
+            ])
         } else {
-            s.push_str("\"present\": false},\n");
-        }
-        s.push_str("  \"checkpoints\": [");
-        for (i, c) in self.checkpoints.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"file\": \"{}\", \"bytes\": {}, \"format\": {}, \"flavor\": \"{}\", \"epoch\": {}, \"fingerprint\": \"{:#018x}\", \"extents_carried\": {}, \"extents_total\": {}, \"chained\": {}}}",
-                esc(&c.file),
-                c.bytes,
-                c.format,
-                c.flavor,
-                c.epoch,
-                c.fingerprint,
-                c.extents_carried,
-                c.extents_total,
-                c.chained
-            ));
-        }
-        s.push_str("],\n");
-        s.push_str("  \"rejected\": [");
-        for (i, (f, e)) in self.rejected.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"file\": \"{}\", \"error\": \"{}\"}}",
-                esc(f),
-                esc(e)
-            ));
-        }
-        s.push_str("],\n");
-        for (key, list) in [
-            ("debris", &self.tmp_debris),
-            ("orphans", &self.orphan_deltas),
-            ("issues", &self.issues),
-        ] {
-            s.push_str(&format!("  \"{key}\": ["));
-            for (i, item) in list.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\"", esc(item)));
-            }
-            s.push_str("],\n");
-        }
-        match &self.corrupt {
-            Some(why) => s.push_str(&format!("  \"corrupt\": \"{}\"\n", esc(why))),
-            None => s.push_str("  \"corrupt\": null\n"),
-        }
-        s.push('}');
-        s
+            obj([("present", false.into())])
+        };
+        let checkpoints = self.checkpoints.iter().map(|c| {
+            obj([
+                ("file", c.file.as_str().into()),
+                ("bytes", c.bytes.into()),
+                ("flavor", c.flavor.into()),
+                ("epoch", c.epoch.into()),
+                ("fingerprint", hex(c.fingerprint)),
+                ("extents_carried", c.extents_carried.into()),
+                ("extents_total", c.extents_total.into()),
+                ("chained", c.chained.into()),
+            ])
+        });
+        let rejected = self
+            .rejected
+            .iter()
+            .map(|(f, e)| obj([("file", f.as_str().into()), ("error", e.as_str().into())]));
+        obj([
+            ("dir", self.dir.as_str().into()),
+            ("verdict", self.verdict().into()),
+            ("epoch", self.epoch.into()),
+            (
+                "chain",
+                obj([
+                    ("base_file", self.base_file.into()),
+                    ("base_epoch", base.map(|b| b.epoch).into()),
+                    ("deltas", self.chain_len.into()),
+                ]),
+            ),
+            ("wal", wal),
+            ("checkpoints", Json::Arr(checkpoints.collect())),
+            ("rejected", Json::Arr(rejected.collect())),
+            ("debris", strings(&self.tmp_debris)),
+            ("orphans", strings(&self.orphan_deltas)),
+            ("issues", strings(&self.issues)),
+            ("corrupt", self.corrupt.as_deref().into()),
+        ])
+        .to_string()
     }
 }
 
@@ -491,14 +413,9 @@ impl std::fmt::Display for StoreStatus {
                     .checkpoints
                     .iter()
                     .find(|c| c.chained && c.flavor == "base");
-                let format = match base.map(|b| b.format) {
-                    Some(1) => "v1 text",
-                    Some(2) => "v2 paged",
-                    _ => "unknown",
-                };
                 writeln!(
                     f,
-                    "chain: epoch {epoch} = base {} ({file}, {format}) + {} delta(s)",
+                    "chain: epoch {epoch} = base {} ({file}, v2 paged) + {} delta(s)",
                     base.map(|b| b.epoch).unwrap_or(epoch),
                     self.chain_len
                 )?;
@@ -559,7 +476,7 @@ impl std::fmt::Display for StoreStatus {
 mod tests {
     use super::*;
     use crate::fault::FaultyIo;
-    use crate::snapshot::encode_snapshot;
+    use crate::pagesnap::encode_base;
     use crate::store::{reset_wal, write_checkpoint, CheckpointPlan};
     use crate::wal::encode_unit;
     use ridl_brm::Value;
@@ -600,8 +517,8 @@ mod tests {
         assert!(st.epoch.is_none());
         assert!(!st.wal.present);
         let json = st.to_json();
-        assert!(json.contains("\"verdict\": \"fresh\""));
-        assert!(json.contains("\"epoch\": null"));
+        assert!(json.contains("\"verdict\":\"fresh\""));
+        assert!(json.contains("\"epoch\":null"));
     }
 
     #[test]
@@ -642,8 +559,8 @@ mod tests {
         // Read-only: nothing was deleted or created.
         assert!(io.exists(&store_path(&dir(), &delta_file(1))));
         let json = st.to_json();
-        assert!(json.contains("\"deltas\": 2"));
-        assert!(json.contains("\"units\": 1"));
+        assert!(json.contains("\"deltas\":2"));
+        assert!(json.contains("\"units\":1"));
         let human = st.to_string();
         assert!(human.contains("chain: epoch 3 = base 1"));
     }
@@ -714,8 +631,10 @@ mod tests {
     #[test]
     fn wal_ahead_of_the_chain_is_corrupt() {
         let io = FaultyIo::new();
-        let prev = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_PREV_FILE), prev.into_bytes());
+        io.poke(
+            &store_path(&dir(), SNAP_PREV_FILE),
+            encode_base(1, 7, &state_one_row()).0,
+        );
         reset_wal(&io, &dir(), 2, 7).unwrap();
         let st = inspect_store(&io, &dir()).unwrap();
         assert_eq!(st.verdict(), "corrupt");
@@ -735,8 +654,10 @@ mod tests {
         let io = FaultyIo::new();
         reset_wal(&io, &dir(), 0, 7).unwrap();
         append_insert(&io, "old");
-        let snap = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_FILE), snap.into_bytes());
+        io.poke(
+            &store_path(&dir(), SNAP_FILE),
+            encode_base(1, 7, &state_one_row()).0,
+        );
         let st = inspect_store(&io, &dir()).unwrap();
         assert_eq!(st.verdict(), "recoverable");
         assert!(st.wal.stale);
@@ -744,8 +665,10 @@ mod tests {
 
         // Corrupt snap falls back to prev — and reports the rejection.
         let io = FaultyIo::new();
-        let prev = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_PREV_FILE), prev.into_bytes());
+        io.poke(
+            &store_path(&dir(), SNAP_PREV_FILE),
+            encode_base(1, 7, &state_one_row()).0,
+        );
         io.poke(&store_path(&dir(), SNAP_FILE), b"garbage".to_vec());
         reset_wal(&io, &dir(), 1, 7).unwrap();
         let st = inspect_store(&io, &dir()).unwrap();

@@ -16,9 +16,8 @@
 //!   [`StdIo`] implementation;
 //! * [`fault`] — [`FaultyIo`], an in-memory filesystem with per-syscall
 //!   fault injection and simulated crashes;
-//! * [`snapshot`] — the legacy v1 checkpoint text format (a superset of
-//!   the `metadb` value token format, which delegates here); still read
-//!   for migration, never written;
+//! * [`token`] — the typed value-token codec shared by the WAL, the
+//!   snapshots and `metadb` (which delegates here);
 //! * [`pagesnap`] — the v2 binary paged checkpoint format: CRC-framed
 //!   pages grouped into content-hashed extents, base snapshots plus
 //!   incremental extent deltas;
@@ -39,8 +38,8 @@ pub mod fault;
 pub mod inspect;
 pub mod io;
 pub mod pagesnap;
-pub mod snapshot;
 pub mod store;
+pub mod token;
 pub mod wal;
 
 pub use crate::fault::{FaultKind, FaultPlan, FaultyIo};
@@ -50,14 +49,11 @@ pub use crate::pagesnap::{
     decode_paged, encode_base, encode_delta, merge_chain, row_extent_hash, ExtentGeometry,
     PagedSnap, SnapFlavor, SnapStats,
 };
-pub use crate::snapshot::{
-    decode_snapshot, decode_value, encode_snapshot, encode_value, fingerprint_str, CorruptError,
-    Snapshot,
-};
 pub use crate::store::{
     delta_file, read_store, write_checkpoint, CheckpointFailure, CheckpointKind, CheckpointOutcome,
-    CheckpointPlan, CheckpointStats, StoreScan,
+    CheckpointPlan, CheckpointStats, Snapshot, StoreScan,
 };
+pub use crate::token::{decode_value, encode_value, fingerprint_str, CorruptError};
 pub use crate::wal::{encode_unit, scan_wal, wal_init_bytes, CommitUnit, WalHeader, WalScan};
 
 /// When the WAL is fsync'd relative to commits.
@@ -109,9 +105,8 @@ pub struct RecoveryReport {
     /// Snapshot/delta files present but rejected (checksum or parse
     /// failure).
     pub snapshots_rejected: usize,
-    /// Format of the checkpoint recovery started from: 0 none, 1 legacy
-    /// text (v1, upgraded to v2 on the next checkpoint), 2 binary paged
-    /// (v2).
+    /// Format of the checkpoint recovery started from: 0 none, 2 binary
+    /// paged (v2). Stores holding a retired v1 text snapshot are refused.
     pub snapshot_format: u8,
     /// Delta files merged on top of the base checkpoint.
     pub deltas_merged: usize,
@@ -148,7 +143,6 @@ impl std::fmt::Display for RecoveryReport {
         match self.checkpoint {
             Some((epoch, file)) => {
                 let format = match self.snapshot_format {
-                    1 => "v1 text",
                     2 => "v2 paged",
                     _ => "unknown",
                 };

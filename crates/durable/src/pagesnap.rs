@@ -1,8 +1,7 @@
 //! Binary paged checkpoint snapshots (format v2).
 //!
-//! The v1 text snapshot ([`crate::snapshot`]) re-serializes the whole
-//! state on every checkpoint — O(state) exactly when the database is
-//! large. v2 extends the WAL's length-prefixed, CRC32-framed row codec
+//! The retired v1 text snapshot re-serialized the whole state on every
+//! checkpoint — O(state) exactly when the database is large. v2 extends the WAL's length-prefixed, CRC32-framed row codec
 //! ([`crate::wal`]) into a full snapshot format, lays every table out as
 //! fixed-size **pages** grouped into **extents**, and supports
 //! **delta** files that rewrite only the extents dirtied since the last
@@ -46,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ridl_brm::Value;
 use ridl_relational::{RelState, Row, TableId};
 
-use crate::snapshot::CorruptError;
+use crate::token::CorruptError;
 use crate::wal::{
     decode_row_bytes, encode_row_bytes, frame, get_u32, get_u64, next_frame, put_u32, put_u64,
 };

@@ -5,10 +5,9 @@
 //!
 //! * `wal.log` — magic + header frame (epoch, schema fingerprint) +
 //!   committed units ([`crate::wal`]);
-//! * `checkpoint.snap` — the latest **base** snapshot: the binary paged
-//!   v2 format ([`crate::pagesnap`]) for everything this code writes, or
-//!   the legacy v1 text format ([`crate::snapshot`]) in a store last
-//!   written by an older build (read support kept for migration);
+//! * `checkpoint.snap` — the latest **base** snapshot in the binary paged
+//!   v2 format ([`crate::pagesnap`]). A base slot holding the retired v1
+//!   text format (`RIDLSNAP 1`) makes [`read_store`] refuse the store;
 //! * `checkpoint.prev` — the previous base, kept as the fallback for a
 //!   crash between the two checkpoint renames (or at-rest corruption of
 //!   `checkpoint.snap`);
@@ -51,9 +50,8 @@ use ridl_relational::RelState;
 use crate::io::DurableIo;
 use crate::pagesnap::{
     decode_paged, encode_base, encode_delta, merge_chain, ExtentGeometry, PagedSnap, SnapFlavor,
-    SNAP2_MAGIC,
 };
-use crate::snapshot::{decode_snapshot, CorruptError, Snapshot};
+use crate::token::CorruptError;
 use crate::wal::{scan_wal, wal_init_bytes, WalScan};
 
 /// WAL file name inside a store directory.
@@ -64,7 +62,7 @@ pub const SNAP_FILE: &str = "checkpoint.snap";
 pub const SNAP_PREV_FILE: &str = "checkpoint.prev";
 /// Staging file for both base and delta checkpoints. Never meaningful at
 /// rest: [`read_store`] deletes an orphaned one left by a crash or a
-/// failed checkpoint before doing anything else.
+/// failed checkpoint before it reads the WAL.
 pub const SNAP_TMP_FILE: &str = "checkpoint.tmp";
 /// Staging file for WAL resets — same never-meaningful-at-rest rule as
 /// [`SNAP_TMP_FILE`].
@@ -326,7 +324,7 @@ pub struct StoreScan {
     /// `None` means the store starts from the empty state. The epoch is
     /// the chain head's (base epoch + deltas merged).
     pub snapshot: Option<(Snapshot, &'static str)>,
-    /// Format of the chosen base: 0 none, 1 text (v1), 2 paged (v2).
+    /// Format of the chosen base: 0 none, 2 paged (v2).
     pub snapshot_format: u8,
     /// Delta files merged on top of the base.
     pub deltas_merged: usize,
@@ -347,27 +345,45 @@ pub struct StoreScan {
     pub fresh: bool,
 }
 
-/// A decoded base candidate: either format, normalized for selection.
-enum BaseCandidate {
-    Text(Snapshot),
-    Paged(PagedSnap),
+/// A decoded checkpoint: the state a base plus its delta chain describe.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Snapshot {
+    /// WAL epoch this snapshot pairs with: a WAL whose header carries the
+    /// same epoch applies *on top of* this state; a smaller epoch means
+    /// the WAL is stale (its effects are already included here).
+    pub epoch: u64,
+    /// Schema fingerprint the state was captured under.
+    pub fingerprint: u64,
+    /// The state.
+    pub state: RelState,
 }
 
-/// Decodes `bytes` as a base checkpoint in whichever format it carries.
-/// A v2 file that decodes but is not a base flavor is rejected — only
-/// `checkpoint.d*` files may be deltas.
-fn decode_base(bytes: &[u8]) -> Result<BaseCandidate, CorruptError> {
-    if bytes.starts_with(SNAP2_MAGIC) {
-        let paged = decode_paged(bytes)?;
-        if paged.flavor != SnapFlavor::Base {
-            return Err(CorruptError("base checkpoint file holds a delta".into()));
-        }
-        return Ok(BaseCandidate::Paged(paged));
+/// First bytes of the retired v1 text snapshot format.
+const LEGACY_SNAP_MAGIC: &[u8] = b"RIDLSNAP 1";
+
+/// Refuses a base slot that holds a retired v1 text snapshot. Such a file
+/// is the store's data in a format this build no longer reads, not
+/// damage: skipping it could replay the WAL over an empty state, and
+/// repair hygiene could delete it.
+pub(crate) fn refuse_legacy(file: &str, bytes: &[u8]) -> Result<(), CorruptError> {
+    if bytes.starts_with(LEGACY_SNAP_MAGIC) {
+        return Err(CorruptError(format!(
+            "{file} holds a legacy v1 text snapshot (RIDLSNAP 1), which this version no \
+             longer reads; checkpoint the store with an older build to upgrade it to v2"
+        )));
     }
-    std::str::from_utf8(bytes)
-        .map_err(|_| CorruptError("snapshot: not UTF-8".into()))
-        .and_then(decode_snapshot)
-        .map(BaseCandidate::Text)
+    Ok(())
+}
+
+/// Decodes `bytes` as a v2 base checkpoint. A file that decodes but is
+/// not a base flavor is rejected — only `checkpoint.d*` files may be
+/// deltas.
+fn decode_base(bytes: &[u8]) -> Result<PagedSnap, CorruptError> {
+    let paged = decode_paged(bytes)?;
+    if paged.flavor != SnapFlavor::Base {
+        return Err(CorruptError("base checkpoint file holds a delta".into()));
+    }
+    Ok(paged)
 }
 
 /// Reads and validates a store directory. I/O errors propagate;
@@ -376,24 +392,14 @@ fn decode_base(bytes: &[u8]) -> Result<BaseCandidate, CorruptError> {
 ///
 /// Besides reading, this performs the store's **repair hygiene**: an
 /// orphaned `checkpoint.tmp`/`wal.tmp` (crash or failed checkpoint
-/// mid-write) is deleted up front, and on a successful scan, delta files
-/// that did not chain onto the chosen base — plus a corrupt
-/// `checkpoint.snap` when `checkpoint.prev` was chosen — are removed so
-/// a later checkpoint cannot rotate garbage into the fallback slot.
+/// mid-write) is deleted, and on a successful scan, delta files that did
+/// not chain onto the chosen base — plus a corrupt `checkpoint.snap` when
+/// `checkpoint.prev` was chosen — are removed so a later checkpoint
+/// cannot rotate garbage into the fallback slot. A base in the retired
+/// v1 text format refuses the store before any of that runs.
 pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan, CorruptError>> {
-    // A tmp file is never meaningful at rest: it is either a fully
-    // renamed checkpoint (then it no longer has this name) or an
-    // abandoned write. Delete it so nothing downstream can confuse it
-    // for real state, and so a retried checkpoint starts clean.
-    for tmp in [SNAP_TMP_FILE, WAL_TMP_FILE] {
-        let path = store_path(dir, tmp);
-        if io.exists(&path) {
-            io.remove(&path)?;
-        }
-    }
-
     let mut out = StoreScan::default();
-    let mut candidates: Vec<(BaseCandidate, &'static str)> = Vec::new();
+    let mut candidates: Vec<(PagedSnap, &'static str)> = Vec::new();
     let mut snap_rejected = false;
     for file in [SNAP_FILE, SNAP_PREV_FILE] {
         let path = store_path(dir, file);
@@ -401,6 +407,9 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
             continue;
         }
         let bytes = io.read(&path)?;
+        if let Err(e) = refuse_legacy(file, &bytes) {
+            return Ok(Err(e));
+        }
         match decode_base(&bytes) {
             Ok(base) => candidates.push((base, file)),
             Err(_) => {
@@ -409,6 +418,17 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
                     snap_rejected = true;
                 }
             }
+        }
+    }
+
+    // A tmp file is never meaningful at rest: it is either a fully
+    // renamed checkpoint (then it no longer has this name) or an
+    // abandoned write. Delete it so nothing downstream can confuse it
+    // for real state, and so a retried checkpoint starts clean.
+    for tmp in [SNAP_TMP_FILE, WAL_TMP_FILE] {
+        let path = store_path(dir, tmp);
+        if io.exists(&path) {
+            io.remove(&path)?;
         }
     }
 
@@ -442,45 +462,36 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
     // base without corrupting the state, so it is reported, not guessed
     // at.
     let mut chained: Vec<u32> = Vec::new();
-    if let Some((base, file)) = candidates.into_iter().next() {
+    if let Some((paged, file)) = candidates.into_iter().next() {
         // Link deltas onto the base: `checkpoint.d{k}` belongs iff its
         // epoch is exactly base.epoch + k and fingerprint + geometry
         // match. Deltas must be dense from 1; the first gap, epoch skip,
         // or mismatch ends the chain (later files are orphans).
-        let snapshot = match &base {
-            BaseCandidate::Paged(paged) => {
-                let mut chain: Vec<&PagedSnap> = Vec::new();
-                for (seq, d) in &deltas {
-                    let position = chain.len() as u32 + 1;
-                    if *seq != position
-                        || d.epoch != paged.epoch + position as u64
-                        || d.fingerprint != paged.fingerprint
-                        || d.geometry != paged.geometry
-                    {
-                        break;
-                    }
-                    chain.push(d);
-                    chained.push(*seq);
-                }
-                let head_epoch = paged.epoch + chain.len() as u64;
-                let state = match merge_chain(paged, &chain) {
-                    Ok(state) => state,
-                    Err(e) => return Ok(Err(e)),
-                };
-                out.snapshot_format = 2;
-                out.deltas_merged = chain.len();
-                out.geometry = Some(paged.geometry.clone());
-                Snapshot {
-                    epoch: head_epoch,
-                    fingerprint: paged.fingerprint,
-                    state,
-                }
+        let mut chain: Vec<&PagedSnap> = Vec::new();
+        for (seq, d) in &deltas {
+            let position = chain.len() as u32 + 1;
+            if *seq != position
+                || d.epoch != paged.epoch + position as u64
+                || d.fingerprint != paged.fingerprint
+                || d.geometry != paged.geometry
+            {
+                break;
             }
-            BaseCandidate::Text(snap) => {
-                out.snapshot_format = 1;
-                snap.clone()
-            }
+            chain.push(d);
+            chained.push(*seq);
+        }
+        let state = match merge_chain(&paged, &chain) {
+            Ok(state) => state,
+            Err(e) => return Ok(Err(e)),
         };
+        out.snapshot_format = 2;
+        out.deltas_merged = chain.len();
+        let snapshot = Snapshot {
+            epoch: paged.epoch + chain.len() as u64,
+            fingerprint: paged.fingerprint,
+            state,
+        };
+        out.geometry = Some(paged.geometry);
         let usable = match wal_epoch {
             // No readable WAL header: any valid chain is the best
             // recoverable state (the log tail counts as discarded).
@@ -538,7 +549,6 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
 mod tests {
     use super::*;
     use crate::fault::FaultyIo;
-    use crate::snapshot::encode_snapshot;
     use crate::wal::encode_unit;
     use ridl_brm::Value;
     use ridl_relational::{DeltaOp, TableId};
@@ -551,6 +561,11 @@ mod tests {
         let mut st = RelState::with_tables(1);
         st.insert(TableId(0), vec![Some(Value::str("x"))]);
         st
+    }
+
+    /// A one-row base snapshot at `epoch`, for planting in a slot.
+    fn base_bytes(epoch: u64) -> Vec<u8> {
+        encode_base(epoch, 7, &state_one_row()).0
     }
 
     fn append_insert(io: &FaultyIo, text: &str) {
@@ -721,35 +736,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_text_snapshot_reads_and_upgrades_to_v2() {
-        let io = FaultyIo::new();
-        let v1 = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_FILE), v1.into_bytes());
-        reset_wal(&io, &dir(), 1, 7).unwrap();
-
-        let scan = read_store(&io, &dir()).unwrap().unwrap();
-        assert_eq!(scan.snapshot_format, 1);
-        assert!(scan.geometry.is_none());
-        assert_eq!(scan.snapshot.unwrap().0.state, state_one_row());
-
-        // The next checkpoint writes v2; the v1 file survives as `prev`.
-        write_checkpoint(&io, &dir(), 2, 7, &state_one_row(), CheckpointPlan::Base).unwrap();
-        let scan = read_store(&io, &dir()).unwrap().unwrap();
-        assert_eq!(scan.snapshot_format, 2);
-        assert_eq!(scan.snapshot.unwrap().1, SNAP_FILE);
-        let prev = io.peek(&store_path(&dir(), SNAP_PREV_FILE)).unwrap();
-        assert!(!prev.starts_with(SNAP2_MAGIC), "prev still the v1 text");
-    }
-
-    #[test]
     fn stale_wal_is_discarded_not_replayed() {
         let io = FaultyIo::new();
         // Simulate a crash after the snapshot renames but before the WAL
         // reset: snapshot at epoch 1, WAL still at epoch 0 with a unit.
         reset_wal(&io, &dir(), 0, 7).unwrap();
         append_insert(&io, "old");
-        let snap = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_FILE), snap.into_bytes());
+        io.poke(&store_path(&dir(), SNAP_FILE), base_bytes(1));
 
         let scan = read_store(&io, &dir()).unwrap().unwrap();
         assert!(scan.stale_wal);
@@ -760,8 +753,7 @@ mod tests {
     #[test]
     fn corrupt_snap_falls_back_to_prev_when_epochs_allow() {
         let io = FaultyIo::new();
-        let prev = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_PREV_FILE), prev.into_bytes());
+        io.poke(&store_path(&dir(), SNAP_PREV_FILE), base_bytes(1));
         io.poke(&store_path(&dir(), SNAP_FILE), b"garbage".to_vec());
         reset_wal(&io, &dir(), 1, 7).unwrap();
         let scan = read_store(&io, &dir()).unwrap().unwrap();
@@ -776,8 +768,7 @@ mod tests {
     #[test]
     fn wal_ahead_of_every_checkpoint_is_corruption() {
         let io = FaultyIo::new();
-        let prev = encode_snapshot(1, 7, &state_one_row());
-        io.poke(&store_path(&dir(), SNAP_PREV_FILE), prev.into_bytes());
+        io.poke(&store_path(&dir(), SNAP_PREV_FILE), base_bytes(1));
         reset_wal(&io, &dir(), 2, 7).unwrap();
         assert!(read_store(&io, &dir()).unwrap().is_err());
 

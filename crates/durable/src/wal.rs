@@ -20,7 +20,7 @@
 use ridl_relational::{DeltaOp, Row, TableId};
 
 use crate::crc::crc32;
-use crate::snapshot::{decode_value, encode_value};
+use crate::token::{decode_value, encode_value};
 
 /// First 8 bytes of every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"RIDLWAL1";

@@ -420,7 +420,6 @@ impl Database {
                 .map(EnforcementReport::per_kind_from)
                 .unwrap_or_default(),
         };
-        ridl_obs::emit("engine.statement", report.duration_ns, &report.summary());
         self.last_report = Some(report);
         if !ok {
             // Statement-level flight-recorder events are part of the
@@ -783,7 +782,6 @@ impl Database {
                 .map(EnforcementReport::per_kind_from)
                 .unwrap_or_default(),
         };
-        ridl_obs::emit("engine.statement", report.duration_ns, &report.summary());
         self.last_report = Some(report);
         if !violations.is_empty() {
             return Err(EngineError::ConstraintViolation(violations));
@@ -913,7 +911,6 @@ impl Database {
             duration_ns: sw.elapsed_ns(),
             per_kind: Vec::new(),
         };
-        ridl_obs::emit("engine.statement", report.duration_ns, &report.summary());
         self.last_report = Some(report);
         if violations.is_empty() {
             if self.txn_marks.is_empty() {

@@ -80,20 +80,6 @@ impl EnforcementReport {
             .collect()
     }
 
-    /// One-line summary, used as the obs sink event detail.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} {:?}/{} ops={} net={} violations={}{}",
-            self.statement,
-            self.mode,
-            self.strategy,
-            self.ops,
-            self.net_ops,
-            self.violations,
-            if self.reverted { " reverted" } else { "" }
-        )
-    }
-
     /// Renders the report for terminal output.
     pub fn render(&self) -> String {
         let mut out = String::new();

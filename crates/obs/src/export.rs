@@ -14,13 +14,15 @@
 //! `RIDL_TRACE_JSON=<path>` both enables tracing
 //! ([`init_tracing_from_env`]) and names the file the trace is written to
 //! at the end of a run ([`write_chrome_trace_env`]).
+//!
+//! Every line and event is a [`Json`] value rendered by [`crate::json`].
 
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::sync::OnceLock;
 
-use crate::sink::json_escape;
-use crate::span::{AttrValue, SpanEvent};
+use crate::json::{obj, Json};
+use crate::span::{attrs_json, SpanEvent};
 use crate::{ConstraintClass, MetricsSnapshot, COUNTER_NAMES};
 
 /// Renders `snap` as JSON lines, one per non-zero counter, each prefixed
@@ -28,13 +30,13 @@ use crate::{ConstraintClass, MetricsSnapshot, COUNTER_NAMES};
 /// are skipped so bench artifacts stay small and diffs meaningful.
 pub fn snapshot_jsonl(label: &str, snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let label = json_escape(label);
+    let mut line = |metric: String, value: u64| {
+        out.push_str(&obj([("metric", metric.into()), ("value", value.into())]).to_string());
+        out.push('\n');
+    };
     for (i, name) in COUNTER_NAMES.iter().enumerate() {
         if snap.counters[i] != 0 {
-            out.push_str(&format!(
-                "{{\"metric\":\"{label}/{name}\",\"value\":{}}}\n",
-                snap.counters[i]
-            ));
+            line(format!("{label}/{name}"), snap.counters[i]);
         }
     }
     for class in ConstraintClass::ALL {
@@ -45,10 +47,7 @@ pub fn snapshot_jsonl(label: &str, snap: &MetricsSnapshot) -> String {
             ("nanos", k.nanos),
         ] {
             if value != 0 {
-                out.push_str(&format!(
-                    "{{\"metric\":\"{label}/kind.{}.{suffix}\",\"value\":{value}}}\n",
-                    class.name()
-                ));
+                line(format!("{label}/kind.{}.{suffix}", class.name()), value);
             }
         }
     }
@@ -80,72 +79,22 @@ pub fn append_summary_snapshot(label: &str, snap: &MetricsSnapshot) {
     }
 }
 
-/// Emits every non-zero counter of the current process-wide totals as one
-/// event each (metric `<label>/<name>`) through the attached sink — an
-/// end-of-run summary for CLI invocations running under
-/// `RIDL_METRICS_JSONL`. A no-op when no sink is attached.
-pub fn emit_snapshot(label: &str) {
-    if !crate::sink_attached() {
-        return;
-    }
-    let snap = crate::snapshot();
-    for (i, name) in COUNTER_NAMES.iter().enumerate() {
-        if snap.counters[i] != 0 {
-            crate::emit(&format!("{label}/{name}"), snap.counters[i], "");
-        }
-    }
-    for class in ConstraintClass::ALL {
-        let k = snap.kind(class);
-        for (suffix, value) in [
-            ("checks", k.checks),
-            ("violations", k.violations),
-            ("nanos", k.nanos),
-        ] {
-            if value != 0 {
-                crate::emit(
-                    &format!("{label}/kind.{}.{suffix}", class.name()),
-                    value,
-                    "",
-                );
-            }
-        }
-    }
-}
-
 // ---- Chrome trace-event export ----
 
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::U64(n) => n.to_string(),
-        AttrValue::I64(n) => n.to_string(),
-        AttrValue::Bool(b) => b.to_string(),
+/// One trace event; `ts` is in microseconds since the trace epoch.
+fn trace_event(e: &SpanEvent, phase: &str, ts_ns: u64) -> Json {
+    let mut fields = vec![
+        ("name", Json::from(e.name)),
+        ("cat", Json::from("ridl")),
+        ("ph", Json::from(phase)),
+        ("ts", Json::Float(ts_ns as f64 / 1e3)),
+        ("pid", Json::Int(1)),
+        ("tid", Json::from(e.thread)),
+    ];
+    if phase == "B" && !e.attrs.is_empty() {
+        fields.push(("args", attrs_json(&e.attrs)));
     }
-}
-
-fn push_event(out: &mut String, e: &SpanEvent, phase: char, ts_ns: u64, first: &mut bool) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"ridl\",\"ph\":\"{phase}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}",
-        json_escape(e.name),
-        ts_ns / 1_000,
-        ts_ns % 1_000,
-        e.thread
-    ));
-    if phase == 'B' && !e.attrs.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in e.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), attr_json(v)));
-        }
-        out.push('}');
-    }
-    out.push('}');
+    obj(fields)
 }
 
 /// Renders finished spans as Chrome trace-event JSON: one `B`/`E` pair
@@ -153,6 +102,8 @@ fn push_event(out: &mut String, e: &SpanEvent, phase: char, ts_ns: u64, first: &
 /// trace epoch. Events are emitted thread by thread in nesting order, so
 /// begin/end pairs are balanced and timestamps are monotone within each
 /// `tid` — the two properties [`validate_chrome_trace`] (and CI) check.
+/// Events are rendered one at a time into the output, so a long trace
+/// never exists in memory as one value tree.
 ///
 /// Spans whose parent chain was truncated at the collector cap are
 /// omitted (a child always finishes before its parent, so a missing
@@ -166,48 +117,47 @@ pub fn chrome_trace(events: &[SpanEvent], dropped: u64) -> String {
     // thread -> roots; span id -> children. Kept in start order.
     let mut roots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut orphans = 0u64;
     for (i, e) in events.iter().enumerate() {
         match e.parent {
             None => roots.entry(e.thread).or_default().push(i),
             Some(p) if ids.contains(&p) => children.entry(p).or_default().push(i),
-            Some(_) => orphans += 1,
+            Some(_) => {}
         }
     }
     for list in roots.values_mut().chain(children.values_mut()) {
         list.sort_by_key(|&i| (events[i].start_ns, events[i].id));
     }
     fn emit(
-        out: &mut String,
+        out: &mut Vec<String>,
         events: &[SpanEvent],
         children: &BTreeMap<u64, Vec<usize>>,
         idx: usize,
-        first: &mut bool,
-        emitted: &mut u64,
     ) {
         let e = &events[idx];
-        *emitted += 1;
-        push_event(out, e, 'B', e.start_ns, first);
+        out.push(trace_event(e, "B", e.start_ns).to_string());
         if let Some(kids) = children.get(&e.id) {
             for &c in kids {
-                emit(out, events, children, c, first, emitted);
+                emit(out, events, children, c);
             }
         }
-        push_event(out, e, 'E', e.start_ns.saturating_add(e.dur_ns), first);
+        out.push(trace_event(e, "E", e.start_ns.saturating_add(e.dur_ns)).to_string());
     }
-    let mut body = String::new();
-    let mut first = true;
-    let mut emitted = 0u64;
+    let mut lines = Vec::new();
     for list in roots.values() {
         for &r in list {
-            emit(&mut body, events, &children, r, &mut first, &mut emitted);
+            emit(&mut lines, events, &children, r);
         }
     }
     // Descendants of an orphan are counted as unexported too.
-    let unexported = events.len() as u64 - emitted;
-    let _ = orphans;
+    let emitted = lines.len() as u64 / 2;
+    let other = obj([
+        ("spans", emitted.into()),
+        ("unexported", (events.len() as u64 - emitted).into()),
+        ("dropped_at_cap", dropped.into()),
+    ]);
     format!(
-        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"spans\":{emitted},\"unexported\":{unexported},\"dropped_at_cap\":{dropped}}},\"traceEvents\":[\n{body}\n]}}\n"
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{other},\"traceEvents\":[\n{}\n]}}\n",
+        lines.join(",\n")
     )
 }
 
@@ -268,89 +218,65 @@ pub struct ChromeTraceStats {
     pub dropped_at_cap: u64,
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|(i, c)| {
-            if rest.starts_with('"') {
-                *c == '"' && *i > 0 && rest.as_bytes()[i - 1] != b'\\'
-            } else {
-                *c == ',' || *c == '}'
-            }
-        })
-        .map(|(i, _)| i)?;
-    Some(rest[..end].trim_start_matches('"'))
-}
-
-/// Validates `text` as well-formed Chrome trace JSON in the shape
+/// Validates `text` as a Chrome trace JSON document in the shape
 /// [`chrome_trace`] emits: every `B` has a matching `E` with the same
 /// name on the same `tid` (properly nested), timestamps are monotone
 /// non-decreasing within each `tid`, and at least one span is present.
-/// Independent of any JSON parser so CI can run it via `ridl tracecheck`.
+/// CI runs it via `ridl tracecheck`.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     use std::collections::BTreeMap;
-    if !text.trim_start().starts_with('{') || !text.contains("\"traceEvents\"") {
-        return Err("not a Chrome trace object (no traceEvents)".into());
-    }
-    let mut stacks: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<String, f64> = BTreeMap::new();
-    let mut stats = ChromeTraceStats::default();
-    for (lineno, line) in text.lines().enumerate() {
-        let Some(ph) = field(line, "ph") else {
-            if line.contains("\"otherData\"") {
-                if let Some(n) = field(line, "dropped_at_cap") {
-                    stats.dropped_at_cap = n.parse().unwrap_or(0);
-                }
-            }
-            continue;
-        };
-        let name = field(line, "name")
-            .ok_or_else(|| format!("line {}: event without name", lineno + 1))?;
-        let tid = field(line, "tid")
-            .ok_or_else(|| format!("line {}: event without tid", lineno + 1))?
-            .to_owned();
-        let ts: f64 = field(line, "ts")
-            .ok_or_else(|| format!("line {}: event without ts", lineno + 1))?
-            .parse()
-            .map_err(|e| format!("line {}: bad ts: {e}", lineno + 1))?;
-        let prev = last_ts.entry(tid.clone()).or_insert(f64::NEG_INFINITY);
+    let doc = crate::json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("not a Chrome trace object (no traceEvents)")?;
+    let mut stats = ChromeTraceStats {
+        dropped_at_cap: doc
+            .get("otherData")
+            .and_then(|o| o.get("dropped_at_cap"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+        ..ChromeTraceStats::default()
+    };
+    let mut stacks: BTreeMap<i64, Vec<(&str, f64)>> = BTreeMap::new();
+    let mut last_ts: BTreeMap<i64, f64> = BTreeMap::new();
+    for (i, e) in events.iter().enumerate() {
+        let n = i + 1;
+        let field = |key: &str| e.get(key).ok_or(format!("event {n}: no {key}"));
+        let bad = |key: &str| format!("event {n}: bad {key}");
+        let ph = field("ph")?.as_str().ok_or_else(|| bad("ph"))?;
+        let name = field("name")?.as_str().ok_or_else(|| bad("name"))?;
+        let tid = field("tid")?.as_i64().ok_or_else(|| bad("tid"))?;
+        let ts = field("ts")?.as_f64().ok_or_else(|| bad("ts"))?;
+        let prev = last_ts.entry(tid).or_insert(f64::NEG_INFINITY);
         if ts < *prev {
             return Err(format!(
-                "line {}: timestamp {ts} goes backwards on tid {tid} (previous {prev})",
-                lineno + 1
+                "event {n}: timestamp {ts} goes backwards on tid {tid} (previous {prev})"
             ));
         }
         *prev = ts;
-        let stack = stacks.entry(tid.clone()).or_default();
+        let stack = stacks.entry(tid).or_default();
         match ph {
-            "B" => stack.push((name.to_owned(), ts)),
+            "B" => stack.push((name, ts)),
             "E" => {
                 let Some((open, open_ts)) = stack.pop() else {
                     return Err(format!(
-                        "line {}: E event for {name} on tid {tid} with no open span",
-                        lineno + 1
+                        "event {n}: E event for {name} on tid {tid} with no open span"
                     ));
                 };
                 if open != name {
                     return Err(format!(
-                        "line {}: E event for {name} closes open span {open} on tid {tid}",
-                        lineno + 1
+                        "event {n}: E event for {name} closes open span {open} on tid {tid}"
                     ));
                 }
                 if ts < open_ts {
                     return Err(format!(
-                        "line {}: span {name} ends before it begins on tid {tid}",
-                        lineno + 1
+                        "event {n}: span {name} ends before it begins on tid {tid}"
                     ));
                 }
                 stats.spans += 1;
             }
-            other => {
-                return Err(format!("line {}: unexpected phase {other}", lineno + 1));
-            }
+            other => return Err(format!("event {n}: unexpected phase {other}")),
         }
     }
     for (tid, stack) in &stacks {
@@ -370,6 +296,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::AttrValue;
     use crate::{metrics, snapshot};
 
     #[test]
@@ -424,6 +351,10 @@ mod tests {
         let text = chrome_trace(&events, 0);
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"args\":{\"kind\":\"x \\\"q\\\"\",\"n\":3}"));
+        assert!(
+            text.contains("\"ts\":0.1}"),
+            "microsecond timestamps: {text}"
+        );
         let stats = validate_chrome_trace(&text).expect("well-formed");
         assert_eq!(stats.spans, 4);
         assert_eq!(stats.threads, 2);
@@ -472,5 +403,8 @@ mod tests {
             .unwrap_err()
             .contains("no spans"));
         assert!(validate_chrome_trace("[]").is_err());
+        // Truncated JSON is rejected outright, not scanned line by line.
+        let text = chrome_trace(&[ev(1, None, "root", 0, 10, 1)], 0);
+        assert!(validate_chrome_trace(&text[..text.len() - 4]).is_err());
     }
 }

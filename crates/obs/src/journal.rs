@@ -18,11 +18,16 @@
 //! monotonic-clock read, and one rarely-contended mutex push — tens of
 //! nanoseconds, cheap enough to leave in the WAL commit path.
 //!
+//! The journal is also the one channel for discrete events outside the
+//! durability machinery: a validator worker panic, for example, is an
+//! `Error`-severity `validate.worker_panic` event.
+//!
 //! Dumps are JSONL (one event per line, first line a `journal.meta`
-//! summary): [`dump_env`] writes the current contents to the file named
-//! by `RIDL_JOURNAL_JSONL`, recovery calls it when a store is reopened,
-//! and [`install_panic_hook`] chains a hook that dumps on panic (to the
-//! env file when set, otherwise a short tail to stderr).
+//! summary), rendered through [`crate::json`]: [`dump_env`] writes the
+//! current contents to the file named by `RIDL_JOURNAL_JSONL`, recovery
+//! calls it when a store is reopened, and [`install_panic_hook`] chains
+//! a hook that dumps on panic (to the env file when set, otherwise a
+//! short tail to stderr).
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -30,8 +35,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::sink::json_escape;
-use crate::span::AttrValue;
+use crate::json::{obj, Json};
+use crate::span::{attrs_json, AttrValue};
 
 /// Event severity, ordered: `Debug < Info < Warn < Error`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -212,47 +217,38 @@ pub fn overwritten() -> u64 {
         .sum()
 }
 
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::U64(n) => n.to_string(),
-        AttrValue::I64(n) => n.to_string(),
-        AttrValue::Bool(b) => b.to_string(),
-    }
-}
-
-/// Renders one event as a single JSON line (no trailing newline).
+/// Renders one event as a single JSON line (no trailing newline):
+/// `seq`, `t_ns`, `sev`, `kind` and, when present, `attrs`, in the
+/// key-sorted order every [`Json`] object renders in.
 pub fn event_json(e: &JournalEvent) -> String {
-    let mut out = format!(
-        "{{\"seq\":{},\"t_ns\":{},\"sev\":\"{}\",\"kind\":\"{}\"",
-        e.seq,
-        e.t_ns,
-        e.severity.name(),
-        json_escape(e.kind)
-    );
+    let mut fields = vec![
+        ("seq", Json::from(e.seq)),
+        ("t_ns", Json::from(e.t_ns)),
+        ("sev", Json::from(e.severity.name())),
+        ("kind", Json::from(e.kind)),
+    ];
     if !e.attrs.is_empty() {
-        out.push_str(",\"attrs\":{");
-        for (i, (k, v)) in e.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), attr_json(v)));
-        }
-        out.push('}');
+        fields.push(("attrs", attrs_json(&e.attrs)));
     }
-    out.push('}');
-    out
+    obj(fields).to_string()
 }
 
 /// Renders events as JSONL: a leading `journal.meta` line carrying the
 /// retained/overwritten counts, then one line per event in sequence
 /// order.
 pub fn to_jsonl(events: &[JournalEvent], overwritten: u64) -> String {
-    let mut out = format!(
-        "{{\"seq\":0,\"t_ns\":0,\"sev\":\"info\",\"kind\":\"journal.meta\",\"attrs\":{{\"events\":{},\"overwritten\":{overwritten}}}}}\n",
-        events.len()
-    );
-    for e in events {
+    let meta = JournalEvent {
+        seq: 0,
+        t_ns: 0,
+        severity: Severity::Info,
+        kind: "journal.meta",
+        attrs: vec![
+            ("events", events.len().into()),
+            ("overwritten", overwritten.into()),
+        ],
+    };
+    let mut out = String::new();
+    for e in std::iter::once(&meta).chain(events) {
         out.push_str(&event_json(e));
         out.push('\n');
     }
@@ -522,6 +518,7 @@ mod tests {
                     // Escaping keeps each event on one line with no raw
                     // control characters.
                     prop_assert!(!line.chars().any(|c| c.is_control()));
+                    prop_assert!(crate::json::parse(line).is_ok());
                 }
                 prop_assert!(lines[1].contains("\"kind\":\"test.p.json\""));
                 prop_assert!(lines[1].contains(&format!("\"n\":{n}")));

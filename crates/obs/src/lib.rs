@@ -15,13 +15,11 @@
 //!   through [`snapshot`] and diffed with [`MetricsSnapshot::since`] to
 //!   attribute cost to a single statement;
 //! * the **detail gate** ([`set_detail`]/[`detail_enabled`]) — per-probe
-//!   counters and monotonic-clock timers ([`Stopwatch`]) only run when a
-//!   sink is attached or detail is explicitly enabled, so the uninstrumented
-//!   hot path pays one predictable branch, not two clock reads per check;
-//! * [`MetricsSink`] — a pluggable consumer of discrete metric events
-//!   (statement completed, validator worker panicked, …); [`JsonlSink`]
-//!   appends them as JSON lines, and [`init_from_env`] installs one when
-//!   `RIDL_METRICS_JSONL` names a file;
+//!   counters and monotonic-clock timers ([`Stopwatch`]) only run when
+//!   detail is explicitly enabled, so the uninstrumented hot path pays
+//!   one predictable branch, not two clock reads per check;
+//! * [`json`] — the workspace's one JSON value model, parser and writer,
+//!   shared by every module that reads or writes JSON;
 //! * [`export`] — JSONL snapshot export sharing the
 //!   `CRITERION_SUMMARY_JSON` file format/flow, so benches and CI record
 //!   metric snapshots alongside timings;
@@ -32,10 +30,11 @@
 //! * [`hist`] — log-bucketed latency histograms (p50/p90/p99/max per
 //!   span name), mergeable across threads so parallel-validator workers
 //!   aggregate into one account;
-//! * [`journal`] — the durability flight recorder: a bounded,
-//!   mutex-sharded ring of structured events (WAL appends, checkpoint
-//!   decisions, recovery steps, fault injections) that is always on and
-//!   dumped as JSONL on panic, on recovery, or via `RIDL_JOURNAL_JSONL`.
+//! * [`journal`] — the flight recorder and the one channel for discrete
+//!   events: a bounded, mutex-sharded ring of structured events (WAL
+//!   appends, checkpoint decisions, recovery steps, fault injections,
+//!   validator worker panics) that is always on and dumped as JSONL on
+//!   panic, on recovery, or via `RIDL_JOURNAL_JSONL`.
 //!
 //! The crate depends on nothing but `std`, so every layer (relational,
 //! engine, transform, core, benches) can report into it without cycles.
@@ -46,19 +45,15 @@
 pub mod export;
 pub mod hist;
 pub mod journal;
-pub mod sink;
+pub mod json;
 pub mod span;
 
 pub use export::{
-    append_summary_snapshot, chrome_trace, emit_snapshot, init_tracing_from_env, snapshot_jsonl,
+    append_summary_snapshot, chrome_trace, init_tracing_from_env, snapshot_jsonl,
     validate_chrome_trace, write_chrome_trace, write_chrome_trace_env, ChromeTraceStats,
 };
 pub use hist::{histograms_snapshot, render_histograms, summary_named, HistSummary, Histogram};
 pub use journal::{JournalEvent, Severity};
-pub use sink::{
-    attach_sink, detach_sink, emit, init_from_env, sink_attached, JsonlSink, MemorySink,
-    MetricsSink,
-};
 pub use span::{
     enter, in_span, render_tree, set_tracing, tracing_enabled, AttrValue, Span, SpanEvent,
 };
@@ -400,7 +395,7 @@ impl MetricsSnapshot {
 static DETAIL: AtomicBool = AtomicBool::new(false);
 
 /// Turns detailed instrumentation (per-probe counters, per-check timers)
-/// on or off. Attaching a sink turns it on automatically.
+/// on or off.
 pub fn set_detail(on: bool) {
     DETAIL.store(on, Ordering::Relaxed);
 }

@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::{obj, Json};
+
 /// A typed span-attribute value.
 #[derive(Clone, PartialEq, Debug)]
 pub enum AttrValue {
@@ -80,6 +82,22 @@ impl From<bool> for AttrValue {
     fn from(v: bool) -> Self {
         AttrValue::Bool(v)
     }
+}
+
+impl From<&AttrValue> for Json {
+    fn from(v: &AttrValue) -> Self {
+        match v {
+            AttrValue::Str(s) => Json::str(s.as_str()),
+            AttrValue::U64(n) => (*n).into(),
+            AttrValue::I64(n) => (*n).into(),
+            AttrValue::Bool(b) => (*b).into(),
+        }
+    }
+}
+
+/// An attribute list as a JSON object (journal dumps, Chrome trace args).
+pub(crate) fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> Json {
+    obj(attrs.iter().map(|(k, v)| (*k, Json::from(v))))
 }
 
 /// One finished span: offsets are nanoseconds since the process trace

@@ -70,7 +70,7 @@ pub fn validate_parallel(schema: &RelSchema, state: &RelState) -> Vec<RelViolati
 /// workers join, and a unit that panics again is reported as a `PANIC`
 /// pseudo-violation — the statement is rejected instead of the engine
 /// dying. Every caught panic counts into `validate.worker_panics` and is
-/// emitted through the obs sink.
+/// recorded as an `Error`-severity `validate.worker_panic` journal event.
 pub fn validate_with_workers(
     schema: &RelSchema,
     state: &RelState,
@@ -133,10 +133,10 @@ pub fn validate_with_workers(
     panicked.sort_unstable();
     for unit in panicked {
         ridl_obs::metrics().worker_panics.inc();
-        ridl_obs::emit(
+        ridl_obs::journal::record(
+            ridl_obs::Severity::Error,
             "validate.worker_panic",
-            1,
-            &format!("unit {unit} retried sequentially"),
+            vec![("unit", unit.into())],
         );
         let out = catch_unwind(AssertUnwindSafe(|| {
             let mut out = Vec::new();
@@ -254,8 +254,8 @@ mod tests {
     /// A panicking check (here: a `CheckValue` with an out-of-range column
     /// ordinal) must reject the validation, not abort the process. The
     /// panic is contained, retried sequentially, reported as a `PANIC`
-    /// pseudo-violation, counted, and surfaced through the obs sink —
-    /// while every healthy unit still reports normally.
+    /// pseudo-violation, counted, and recorded as an `Error` journal
+    /// event — while every healthy unit still reports normally.
     #[test]
     fn worker_panic_is_contained_and_reported() {
         let mut s = schema();
@@ -268,12 +268,9 @@ mod tests {
         st.insert(TableId(0), vec![v("a"), v("x")]);
         st.insert(TableId(0), vec![v("a"), None]); // duplicate key: healthy unit reports
         st.insert(TableId(1), vec![v("x")]);
-        let sink = std::sync::Arc::new(ridl_obs::MemorySink::new());
-        ridl_obs::attach_sink(sink.clone());
         let before = ridl_obs::snapshot();
         let out = validate_with_workers(&s, &st, 4);
         let delta = ridl_obs::snapshot().since(&before);
-        ridl_obs::detach_sink();
         assert!(
             out.iter().any(|x| x.constraint == "PANIC"),
             "expected a PANIC pseudo-violation, got {out:?}"
@@ -283,6 +280,9 @@ mod tests {
             "healthy units must still report: {out:?}"
         );
         assert!(delta.counter("validate.worker_panics") >= 1, "{delta:?}");
-        assert!(!sink.named("validate.worker_panic").is_empty());
+        let (events, _) = ridl_obs::journal::snapshot_events();
+        assert!(events
+            .iter()
+            .any(|e| e.kind == "validate.worker_panic" && e.severity == ridl_obs::Severity::Error));
     }
 }

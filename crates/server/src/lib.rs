@@ -5,7 +5,8 @@
 //!
 //! * **Wire protocol** ([`proto`], [`json`]) — line-delimited JSON over
 //!   TCP. One request object per line, one response per line, ids echoed
-//!   back. Std-only: the parser/writer live in [`json`].
+//!   back. Std-only: the parser/writer is the workspace's one JSON
+//!   module, `ridl_obs::json`, re-exported here as [`json`].
 //! * **Snapshot reads** — every read statement runs against the latest
 //!   published [`ridl_engine::ReadSnapshot`]; the copy-on-write
 //!   `RelState` makes publication O(tables), so readers never block the
@@ -25,11 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod json;
 pub(crate) mod pipeline;
 pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientError};
 pub use pipeline::Committed;
+pub use ridl_obs::json;
 pub use server::{Server, ServerConfig};

@@ -45,8 +45,7 @@
 //!   --dialect sql2|oracle|ingres|db2
 //! ```
 //!
-//! A path of `-` reads the schema from stdin. Set `RIDL_METRICS_JSONL=<path>`
-//! to append every enforcement metric event as a JSON line. Set
+//! A path of `-` reads the schema from stdin. Set
 //! `RIDL_TRACE_JSON=<path>` to enable span tracing and write a Chrome
 //! trace-event file (loadable in Perfetto or `chrome://tracing`) at exit;
 //! `ridl trace` enables the spans regardless and honours the variable for
@@ -547,37 +546,32 @@ fn run() -> Result<(), CliError> {
             }
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Input(format!("reading {path}: {e}")))?;
-            // Line-level filter on the journal's fixed JSONL shape:
-            // {"seq":N,"t_ns":N,"sev":"...","kind":"...",...}. The
-            // journal.meta header line always passes.
-            let json_field = |line: &str, key: &str| -> Option<String> {
-                let pat = format!("\"{key}\":\"");
-                let start = line.find(&pat)? + pat.len();
-                line[start..]
-                    .find('"')
-                    .map(|end| line[start..start + end].to_owned())
-            };
+            // Every line is one JSON journal event; the journal.meta
+            // header line is skipped.
+            use ridl_obs::json::Json;
             let mut selected: Vec<&str> = Vec::new();
             let mut total = 0usize;
             for (lineno, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let kind = json_field(line, "kind").ok_or_else(|| {
-                    CliError::Corrupt(format!("{path}:{}: journal line without kind", lineno + 1))
-                })?;
+                let corrupt =
+                    |what: &str| CliError::Corrupt(format!("{path}:{}: {what}", lineno + 1));
+                let event = ridl_obs::json::parse(line)
+                    .map_err(|e| corrupt(&format!("journal line is not JSON ({e})")))?;
+                let kind = event
+                    .get("kind")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| corrupt("journal line without kind"))?;
                 if kind == "journal.meta" {
                     continue;
                 }
                 total += 1;
-                let sev = json_field(line, "sev")
-                    .and_then(|s| ridl_obs::Severity::parse(&s))
-                    .ok_or_else(|| {
-                        CliError::Corrupt(format!(
-                            "{path}:{}: journal line without severity",
-                            lineno + 1
-                        ))
-                    })?;
+                let sev = event
+                    .get("sev")
+                    .and_then(Json::as_str)
+                    .and_then(ridl_obs::Severity::parse)
+                    .ok_or_else(|| corrupt("journal line without severity"))?;
                 if sev < min_sev {
                     continue;
                 }
@@ -801,8 +795,10 @@ fn run() -> Result<(), CliError> {
         }
         "benchcheck" => {
             let read = |path: &str| {
-                std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Input(format!("reading {path}: {e}")))
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| CliError::Input(format!("reading {path}: {e}")))?;
+                ridl_bench::artifact::validate_artifact(&text)
+                    .map_err(|e| CliError::Corrupt(format!("{path}: invalid bench artifact: {e}")))
             };
             match rest {
                 [flag, small, large] if flag == "--scaling" => {
@@ -810,26 +806,21 @@ fn run() -> Result<(), CliError> {
                     ridl_bench::artifact::check_checkpoint_scaling(&s, &l).map_err(|e| {
                         CliError::Corrupt(format!("checkpoint scaling check failed: {e}"))
                     })?;
-                    let n = |text: &str, key: &str| {
-                        ridl_bench::artifact::extract_number(text, key).unwrap_or(0.0)
+                    // The check passed, so both artifacts carry a checkpoint.
+                    let bytes = |a: &ridl_bench::artifact::BenchArtifact| {
+                        a.checkpoint
+                            .map_or((0, 0), |c| (c.full_bytes, c.delta_bytes))
                     };
+                    let ((s_full, s_delta), (l_full, l_delta)) = (bytes(&s), bytes(&l));
                     println!(
-                        "-- checkpoint scaling holds: state {:.0} -> {:.0} rows grew full \
-                         snapshots {:.0} -> {:.0} bytes, deltas {:.0} -> {:.0} bytes",
-                        n(&s, "rows_loaded"),
-                        n(&l, "rows_loaded"),
-                        n(&s, "full_bytes"),
-                        n(&l, "full_bytes"),
-                        n(&s, "delta_bytes"),
-                        n(&l, "delta_bytes"),
+                        "-- checkpoint scaling holds: state {} -> {} rows grew full \
+                         snapshots {s_full} -> {l_full} bytes, deltas {s_delta} -> {l_delta} bytes",
+                        s.rows_loaded, l.rows_loaded,
                     );
                     Ok(())
                 }
                 [path] => {
-                    let text = read(path)?;
-                    ridl_bench::artifact::validate_artifact(&text).map_err(|e| {
-                        CliError::Corrupt(format!("{path}: invalid bench artifact: {e}"))
-                    })?;
+                    read(path)?;
                     println!("-- {path}: well-formed bench artifact");
                     Ok(())
                 }
@@ -843,7 +834,6 @@ fn run() -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
-    ridl_obs::init_from_env();
     ridl_obs::init_tracing_from_env();
     // The flight recorder dumps on panic (to RIDL_JOURNAL_JSONL when set,
     // a stderr tail otherwise) — installed before any durability code runs.
@@ -855,10 +845,9 @@ fn main() -> ExitCode {
             ExitCode::from(e.exit_code())
         }
     };
-    // Under RIDL_METRICS_JSONL, close the run with a totals snapshot; under
-    // RIDL_TRACE_JSON, flush any spans not already exported by a subcommand;
-    // under RIDL_JOURNAL_JSONL, leave a final flight-recorder dump.
-    ridl_obs::emit_snapshot("ridl");
+    // Under RIDL_TRACE_JSON, flush any spans not already exported by a
+    // subcommand; under RIDL_JOURNAL_JSONL, leave a final flight-recorder
+    // dump.
     ridl_obs::write_chrome_trace_env();
     ridl_obs::journal::dump_env();
     code

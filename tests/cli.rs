@@ -19,6 +19,15 @@ FACT pp_session ( scheduled_in : Program_Paper , comprising : Session );
 UNIQUE pp_session.LEFT; TOTAL Program_Paper IN pp_session.LEFT;
 "#;
 
+/// Writes `input` to a child's stdin and closes it. A child that exits
+/// without reading stdin (a usage error, `tracecheck`, …) may close the
+/// pipe first; that broken pipe is not a test failure.
+fn feed(child: &mut std::process::Child, input: &[u8]) {
+    if let Err(e) = child.stdin.take().expect("piped stdin").write_all(input) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+    }
+}
+
 fn ridl(args: &[&str]) -> (String, String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ridl"))
         .args(args)
@@ -27,12 +36,7 @@ fn ridl(args: &[&str]) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(SCHEMA.as_bytes())
-        .unwrap();
+    feed(&mut child, SCHEMA.as_bytes());
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -120,34 +124,6 @@ fn query_explain_prints_executed_plan() {
 }
 
 #[test]
-fn metrics_jsonl_env_appends_events() {
-    let path = std::env::temp_dir().join(format!("ridl-cli-metrics-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ridl"))
-        .args(["profile", "-"])
-        .env("RIDL_METRICS_JSONL", &path)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(SCHEMA.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success());
-    let text = std::fs::read_to_string(&path).unwrap_or_default();
-    let _ = std::fs::remove_file(&path);
-    assert!(
-        text.lines().any(|l| l.contains("\"metric\"")),
-        "no metric events written: {text:?}"
-    );
-}
-
-#[test]
 fn trace_prints_span_tree_and_histograms() {
     let (stdout, stderr, ok) = ridl(&["trace", "-"]);
     assert!(ok, "{stderr}");
@@ -197,12 +173,7 @@ fn trace_json_env_exports_and_tracecheck_validates() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(SCHEMA.as_bytes())
-        .unwrap();
+    feed(&mut child, SCHEMA.as_bytes());
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success());
     assert!(
@@ -237,12 +208,7 @@ fn ridl_with_input(args: &[&str], input: &str) -> (String, String, Option<i32>) 
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .unwrap();
+    feed(&mut child, input.as_bytes());
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -351,10 +317,10 @@ fn status_inspects_store_offline() {
     // Machine-readable form.
     let (stdout, stderr, code) = ridl_with_input(&["status", dir.to_str().unwrap(), "--json"], "");
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("\"verdict\": \"clean\""), "{stdout}");
-    assert!(stdout.contains("\"epoch\": 1"), "{stdout}");
+    assert!(stdout.contains("\"verdict\":\"clean\""), "{stdout}");
+    assert!(stdout.contains("\"epoch\":1,"), "{stdout}");
     assert!(
-        stdout.contains("\"base_file\": \"checkpoint.snap\""),
+        stdout.contains("\"base_file\":\"checkpoint.snap\""),
         "{stdout}"
     );
 
@@ -416,12 +382,7 @@ fn journal_dump_on_recovery_lists_replay_in_order() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(SCHEMA.as_bytes())
-        .unwrap();
+    feed(&mut child, SCHEMA.as_bytes());
     let out2 = child.wait_with_output().unwrap();
     assert!(
         out2.status.success(),
@@ -530,6 +491,25 @@ fn events_filters_by_severity_and_reports_errors() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A dump line is read as JSON, not scanned for a `"kind":"…"` substring:
+/// a line that is not JSON is a corrupt artefact (exit 5) even when it
+/// mentions a kind and a severity.
+#[test]
+fn events_rejects_a_line_that_is_not_json() {
+    let path =
+        std::env::temp_dir().join(format!("ridl-cli-events-bad-{}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        "{\"seq\":1,\"t_ns\":10,\"sev\":\"info\",\"kind\":\"wal.append\"}\n\
+         torn {\"sev\":\"info\",\"kind\":\"wal.fsync\"\n",
+    )
+    .unwrap();
+    let (_, stderr, code) = ridl_with_input(&["events", path.to_str().unwrap()], "");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(5), "{stderr}");
+    assert!(stderr.contains(":2: journal line is not JSON"), "{stderr}");
+}
+
 #[test]
 fn bad_input_fails_with_message() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ridl"))
@@ -539,12 +519,7 @@ fn bad_input_fails_with_message() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(b"NOT A SCHEMA")
-        .unwrap();
+    feed(&mut child, b"NOT A SCHEMA");
     let out = child.wait_with_output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
@@ -627,7 +602,7 @@ fn serve_and_client_round_trip_with_session_journal() {
     // The protocol shutdown checkpointed: the store inspects as clean.
     let (stdout, stderr, code) = ridl_with_input(&["status", dir.to_str().unwrap(), "--json"], "");
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stdout.contains("\"verdict\": \"clean\""), "{stdout}");
+    assert!(stdout.contains("\"verdict\":\"clean\""), "{stdout}");
 
     // The journal recorded the session lifecycle; `--kind session.` and
     // `--kind net.` select exactly those events.

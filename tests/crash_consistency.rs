@@ -32,6 +32,7 @@ use ridl_core::state_map::map_population;
 use ridl_core::{MappingOptions, Workbench};
 use ridl_durable::{FaultKind, FaultPlan, FaultyIo};
 use ridl_engine::{BatchOp, Database, Durability, EngineError, FsyncPolicy};
+use ridl_obs::json::Json;
 use ridl_relational::{validate, RelSchema, RelState, Row};
 use ridl_workloads::cris;
 use ridl_workloads::scenario::{self, MappedPopulation};
@@ -642,87 +643,7 @@ fn crash_at_every_syscall_of_a_delta_checkpoint_recovers_one_epoch_side() {
     }
 }
 
-#[test]
-fn v1_to_v2_upgrade_survives_a_crash_at_every_syscall() {
-    use ridl_durable::store::{store_path, SNAP_FILE};
-    use ridl_durable::{encode_snapshot, fingerprint_str};
-
-    let (schema, state) = cris_artifacts();
-    // The engine fingerprints the schema by its debug rendering; a
-    // hand-planted v1 store must match for recovery to accept it.
-    let fp = fingerprint_str(&format!("{schema:?}"));
-    let plant_v1 = |io: &Arc<FaultyIo>| {
-        let v1 = encode_snapshot(3, fp, state);
-        io.poke(&store_path(&dir(), SNAP_FILE), v1.into_bytes());
-        ridl_durable::store::reset_wal(&**io, &dir(), 3, fp).unwrap();
-    };
-
-    // Dry run: open the legacy store, commit one statement, upgrade via
-    // a checkpoint — necessarily a full v2 base (a v1 snapshot carries no
-    // extent geometry).
-    let dry = Arc::new(FaultyIo::new());
-    plant_v1(&dry);
-    let mut db = Database::open_with(dry.clone(), dir(), schema.clone(), always_no_auto()).unwrap();
-    assert_eq!(db.recovery_report().unwrap().snapshot_format, 1);
-    commit_one_delete(&mut db);
-    let want = db.state().clone();
-    let start = dry.op_count();
-    db.checkpoint().unwrap();
-    assert_eq!(
-        db.last_checkpoint_stats().unwrap().kind,
-        ridl_durable::CheckpointKind::Base
-    );
-    let end = dry.op_count();
-    drop(db);
-
-    for at in start..end {
-        let io = Arc::new(FaultyIo::new());
-        plant_v1(&io);
-        let mut db =
-            Database::open_with(io.clone(), dir(), schema.clone(), always_no_auto()).unwrap();
-        commit_one_delete(&mut db);
-        io.set_plan(Some(FaultPlan {
-            at_op: at,
-            kind: FaultKind::Crash,
-        }));
-        let _ = db.checkpoint();
-        drop(db);
-        io.crash(0);
-
-        let db2 = Database::open_with(io.clone(), dir(), schema.clone(), always_no_auto())
-            .unwrap_or_else(|e| panic!("upgrade crash at op {at}: recovery failed: {e}"));
-        assert_eq!(db2.state(), &want, "upgrade crash at op {at}");
-        let r = db2.recovery_report().unwrap();
-        // One side of the upgrade: still the v1 text snapshot (WAL unit
-        // replays), or the new v2 base (unit absorbed). The v1 fallback
-        // may be read from `snap` or from `prev` (between the renames).
-        let old_side = r.snapshot_format == 1 && r.units_replayed == 1;
-        let new_side = r.snapshot_format == 2 && r.units_replayed == 0;
-        assert!(
-            old_side || new_side,
-            "upgrade crash at op {at}: mixed formats:\n{r}"
-        );
-        assert!(validate(schema, db2.state()).is_empty());
-    }
-}
-
 // ---- the offline inspector CLI against a real on-disk crash store ----
-
-/// First integer after `"key": ` in a JSON text — enough for the flat,
-/// fixed-shape documents `ridl status --json` emits.
-fn json_u64(text: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\": ");
-    let s = text
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {text}"))
-        + pat.len();
-    text[s..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} is not a number in {text}"))
-}
 
 /// The CI contract behind `ridl status --json`: on a store a crash left
 /// behind (checkpoint chain + WAL-only commits), the offline inspector's
@@ -772,22 +693,33 @@ fn ridl_status_json_agrees_with_the_recovery_report() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
+    let status = ridl_obs::json::parse(&json).expect("ridl status --json is JSON");
+    let field = |path: &[&str]| {
+        path.iter()
+            .try_fold(&status, |v, key| v.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no number at {path:?} in {json}"))
+    };
     // Pending committed units are normal operation, not damage.
-    assert!(json.contains("\"verdict\": \"clean\""), "{json}");
-    let (epoch, _) = rep.checkpoint.expect("store has a checkpoint");
-    assert_eq!(json_u64(&json, "epoch"), epoch, "chain-head epoch");
     assert_eq!(
-        json_u64(&json, "deltas"),
+        status.get("verdict").and_then(Json::as_str),
+        Some("clean"),
+        "{json}"
+    );
+    let (epoch, _) = rep.checkpoint.expect("store has a checkpoint");
+    assert_eq!(field(&["epoch"]), epoch, "chain-head epoch");
+    assert_eq!(
+        field(&["chain", "deltas"]),
         rep.deltas_merged as u64,
         "delta-chain length"
     );
     assert_eq!(
-        json_u64(&json, "units"),
+        field(&["wal", "units"]),
         rep.units_replayed as u64,
         "committed WAL units"
     );
     assert_eq!(
-        json_u64(&json, "torn_bytes"),
+        field(&["wal", "torn_bytes"]),
         rep.bytes_discarded,
         "torn-tail bytes"
     );

@@ -691,3 +691,46 @@ fn checkpoint_full_collapses_the_chain() {
     assert_eq!(db2.state(), &want);
     assert_eq!(db2.recovery_report().unwrap().deltas_merged, 0);
 }
+
+/// A base slot holding a retired v1 text snapshot (`RIDLSNAP 1`) refuses
+/// the store — `Database::open` fails with a corrupt error naming the
+/// format and `ridl status` says `corrupt` — instead of being skipped as
+/// damage, which could replay the WAL over an empty state or let repair
+/// hygiene delete the data.
+#[test]
+fn legacy_v1_snapshot_is_refused_by_open_and_status() {
+    let dir = std::env::temp_dir().join(format!("ridl-legacy-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut db = Database::open(&dir, sample_schema()).unwrap();
+        db.insert("Paper", vec![v("P1"), None]).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let legacy = "RIDLSNAP 1\nepoch 1\nfingerprint 0000000000000007\ntables 0\nend\n";
+    std::fs::write(store_path(&dir, SNAP_FILE), legacy).unwrap();
+    std::fs::write(store_path(&dir, SNAP_TMP_FILE), "half a checkpoint").unwrap();
+
+    let Err(err) = Database::open(&dir, sample_schema()) else {
+        panic!("a legacy store must not open");
+    };
+    assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("legacy v1 text snapshot"), "{err}");
+    // Refused before repair hygiene: nothing was deleted.
+    assert!(store_path(&dir, SNAP_FILE).exists());
+    assert!(store_path(&dir, SNAP_TMP_FILE).exists());
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ridl"))
+        .args(["status", dir.to_str().unwrap(), "--json"])
+        .output()
+        .expect("ridl status runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = String::from_utf8(out.stdout).unwrap();
+    let status = ridl_obs::json::parse(&text).expect("ridl status --json is JSON");
+    assert_eq!(
+        status.get("verdict").and_then(|v| v.as_str()),
+        Some("corrupt"),
+        "{text}"
+    );
+    let why = status.get("corrupt").and_then(|v| v.as_str()).unwrap();
+    assert!(why.contains("RIDLSNAP 1"), "{why}");
+}

@@ -1,20 +1,17 @@
 //! Satellite of the durability PR: the textual codecs the meta-database
-//! and the checkpoint snapshots share are **total** and **stable**.
+//! and the durable layer share are **total** and **stable**.
 //!
-//! For every codec (value tokens, constraint bodies, data types, whole
-//! snapshot files) three properties are checked:
+//! For every codec (value tokens, constraint bodies, data types) three
+//! properties are checked:
 //!
 //! 1. **Round trip** — decode(encode(x)) == x.
 //! 2. **Fixpoint** — re-encoding the decoded form reproduces the exact
-//!    byte string, so snapshots written by one session are byte-stable
-//!    under rewrite by the next (recovery depends on this to compare
-//!    states by equality).
+//!    byte string, so tokens written by one session are byte-stable
+//!    under rewrite by the next.
 //! 3. **Totality under truncation/corruption** — a torn prefix or a
 //!    flipped byte is *rejected with an error*, never a panic, and never
 //!    decodes to a silently different artefact (a truncated input that
 //!    happens to decode must itself be stable).
-
-use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -22,11 +19,7 @@ use ridl_brm::{
     ConstraintKind, DataType, Decimal, FactTypeId, ObjectTypeId, RoleOrSublink, RoleRef, Side,
     SublinkId, Value,
 };
-use ridl_durable::{decode_snapshot, encode_snapshot};
 use ridl_metadb::serde as mdb;
-use ridl_relational::{RelSchema, RelState};
-use ridl_workloads::scenario::{self, MappedPopulation};
-use ridl_workloads::synth::GenParams;
 
 // ---- strategies (ASCII strings so every byte prefix is valid UTF-8) ----
 
@@ -103,26 +96,6 @@ fn data_type_strategy() -> impl Strategy<Value = DataType> {
     ]
 }
 
-fn synth_artifacts() -> &'static Vec<(RelSchema, RelState)> {
-    static CACHE: OnceLock<Vec<(RelSchema, RelState)>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        (0..3u64)
-            .map(|seed| {
-                let params = GenParams {
-                    seed: 77 + seed,
-                    nolots: 5,
-                    attrs_per_nolot: (1, 3),
-                    mn_facts: 2,
-                    sublinks: 1,
-                    ..GenParams::default()
-                };
-                let MappedPopulation { schema, state } = scenario::mapped_population(&params, 3);
-                (schema, state)
-            })
-            .collect()
-    })
-}
-
 /// Largest char-boundary index ≤ `i` (so arbitrary cut points stay valid
 /// UTF-8 even if a workload value smuggles multibyte text in).
 fn floor_boundary(s: &str, mut i: usize) -> usize {
@@ -193,74 +166,6 @@ proptest! {
         let _ = mdb::decode_value(&src);
         let _ = mdb::decode_constraint(&src);
         let _ = mdb::parse_data_type(&src);
-        let _ = decode_snapshot(&src);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Checkpoint snapshots of mapped populations: round trip (epoch,
-    /// fingerprint and state all survive), byte-stable re-encode, and
-    /// CRC-guarded rejection of every torn prefix — a prefix either errs
-    /// or (when only trailing bytes past the checksum footer were lost)
-    /// decodes to the identical snapshot. Never to a different state.
-    #[test]
-    fn snapshot_fixpoint_and_torn_prefix(
-        art_ix in 0usize..3,
-        epoch in 0u64..1u64 << 40,
-        fingerprint in any::<u64>(),
-        cut in 0usize..1_000_000,
-    ) {
-        let (_, state) = &synth_artifacts()[art_ix];
-        let enc = encode_snapshot(epoch, fingerprint, state);
-        let snap = decode_snapshot(&enc).unwrap();
-        prop_assert_eq!(snap.epoch, epoch);
-        prop_assert_eq!(snap.fingerprint, fingerprint);
-        prop_assert_eq!(&snap.state, state);
-        prop_assert_eq!(
-            encode_snapshot(snap.epoch, snap.fingerprint, &snap.state),
-            enc.clone(),
-            "snapshot encode not a fixpoint"
-        );
-
-        let cut = floor_boundary(&enc, cut % enc.len());
-        match decode_snapshot(&enc[..cut]) {
-            Err(_) => {}
-            Ok(t) => {
-                prop_assert_eq!(t.epoch, epoch);
-                prop_assert_eq!(t.fingerprint, fingerprint);
-                prop_assert_eq!(
-                    &t.state, state,
-                    "torn snapshot decoded to a different state"
-                );
-            }
-        }
-    }
-
-    /// A single flipped byte anywhere in a snapshot is caught (by the CRC
-    /// footer or by the structure of the body) and rejected with an
-    /// error.
-    #[test]
-    fn snapshot_flipped_byte_rejected(
-        art_ix in 0usize..3,
-        epoch in 0u64..1u64 << 40,
-        pos in 0usize..1_000_000,
-    ) {
-        let (_, state) = &synth_artifacts()[art_ix];
-        let enc = encode_snapshot(epoch, 0xFEED_F00D_u64, state);
-        let mut bytes = enc.clone().into_bytes();
-        let pos = pos % bytes.len();
-        // Stay ASCII so the corrupted file is still valid UTF-8 (binary
-        // garbage is rejected upstream when the file is read as text).
-        bytes[pos] = if bytes[pos] == b'#' { b'%' } else { b'#' };
-        let corrupt = String::from_utf8(bytes).unwrap();
-        prop_assert!(corrupt != enc);
-        prop_assert!(
-            decode_snapshot(&corrupt).is_err(),
-            "flipped byte at {} accepted",
-            pos
-        );
     }
 }
 
@@ -274,6 +179,4 @@ fn empty_and_stub_inputs_rejected() {
     assert!(mdb::decode_constraint("").is_err());
     assert!(mdb::parse_data_type("").is_err());
     assert!(mdb::parse_data_type("CHAR(").is_err());
-    assert!(decode_snapshot("").is_err());
-    assert!(decode_snapshot("RIDLSNAP 1\n").is_err(), "missing footer");
 }

@@ -302,3 +302,23 @@ fn concurrent_writers_get_unique_commit_sequences() {
     let db = server.shutdown().unwrap();
     assert_eq!(db.state().num_rows(), THREADS * PER_THREAD);
 }
+
+/// A deeply nested request line is a `proto` error, not a stack overflow
+/// of the session's reader thread: the connection that sent it and new
+/// connections keep being served.
+#[test]
+fn deeply_nested_request_is_a_proto_error() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let r = c.send_raw(&"[".repeat(100_000)).unwrap();
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    assert!(Client::is_ok(&c.request(insert_req("P1")).unwrap()));
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    let r = fresh.request(query_all()).unwrap();
+    assert_eq!(r.get("rows").and_then(Json::as_arr).unwrap().len(), 1);
+    drop(c);
+    drop(fresh);
+    server.shutdown().unwrap();
+}
