@@ -114,7 +114,8 @@ pub struct WalStats {
     pub replay_units: u64,
     /// Row operations replayed.
     pub replay_ops: u64,
-    /// Replay throughput in row ops per second.
+    /// Replay throughput in row ops per second of the recovery's replay
+    /// stage (not of the whole recovery).
     pub replay_ops_per_sec: f64,
     /// WAL bytes on disk at the simulated crash.
     pub bytes: u64,

@@ -102,6 +102,8 @@ impl MacroConfig {
 struct TrafficOutcome {
     latencies: Histogram,
     committed_units: u64,
+    /// Row inserts and deletes the committed statements applied.
+    rows_changed: u64,
 }
 
 /// Executes one slice of the traffic plan against the engine, recording
@@ -114,12 +116,14 @@ fn run_traffic(
 ) -> Result<TrafficOutcome, String> {
     let mut latencies = Histogram::new();
     let mut committed_units = 0u64;
+    let mut rows_changed = 0u64;
     for op in plan {
         let start = Instant::now();
         match *op {
             TrafficOp::DeleteReinsert(i) => {
                 harness::commit_pair(db, &targets[i]);
                 committed_units += 2;
+                rows_changed += 2;
             }
             TrafficOp::Batch(i) => {
                 let t = &targets[i];
@@ -133,6 +137,7 @@ fn run_traffic(
                     return Err(format!("traffic batch changed {n} rows, expected 2"));
                 }
                 committed_units += 1;
+                rows_changed += n as u64;
             }
             TrafficOp::RejectInsert(i) => {
                 let t = &targets[i];
@@ -157,6 +162,7 @@ fn run_traffic(
     Ok(TrafficOutcome {
         latencies,
         committed_units,
+        rows_changed,
     })
 }
 
@@ -322,7 +328,6 @@ pub fn run_macro(cfg: &MacroConfig) -> Result<BenchArtifact, String> {
         .last_checkpoint_stats()
         .ok_or("checkpoint_full recorded no stats")?;
     phases.push(PhaseStat::block("checkpoint", full_seconds, 1));
-    let churn_before = db.state().total_mutations();
 
     // Phase 8 — churn traffic between the two checkpoints.
     let t = Instant::now();
@@ -337,7 +342,7 @@ pub fn run_macro(cfg: &MacroConfig) -> Result<BenchArtifact, String> {
     // dirtied are rewritten. The bench asserts the engine actually chose
     // the delta path and (at real scale) that the delta stays under 20%
     // of the full snapshot — the paper-scale acceptance bound.
-    let churn_rows = db.state().total_mutations() - churn_before;
+    let churn_rows = churn.rows_changed;
     let t = Instant::now();
     db.checkpoint()
         .map_err(|e| format!("delta checkpoint: {e}"))?;
@@ -441,8 +446,11 @@ pub fn run_macro(cfg: &MacroConfig) -> Result<BenchArtifact, String> {
         recovery_seconds,
         rep.ops_replayed as u64,
     ));
-    let replay_ops_per_sec = if recovery_seconds > 0.0 {
-        rep.ops_replayed as f64 / recovery_seconds
+    // A replay rate, so over the replay stage alone: the whole recovery
+    // also reads, decodes, merges and validates the checkpoint.
+    let replay_seconds = rep.stages.replay_ns as f64 / 1e9;
+    let replay_ops_per_sec = if replay_seconds > 0.0 {
+        rep.ops_replayed as f64 / replay_seconds
     } else {
         0.0
     };

@@ -102,8 +102,10 @@ pub struct RecoveryReport {
     /// file it was read from; `None` when recovery started from the
     /// empty state.
     pub checkpoint: Option<(u64, &'static str)>,
-    /// Snapshot/delta files present but rejected (checksum or parse
-    /// failure).
+    /// Snapshot/delta files recovery decoded and rejected (checksum or
+    /// parse failure). `checkpoint.prev` is decoded only when
+    /// `checkpoint.snap` is missing or rejected, so damage to an unused
+    /// fallback is not counted here; `ridl status` reports it.
     pub snapshots_rejected: usize,
     /// Format of the checkpoint recovery started from: 0 none, 2 binary
     /// paged (v2). Stores holding a retired v1 text snapshot are refused.
@@ -133,6 +135,64 @@ pub struct RecoveryReport {
     /// the detail-gated obs timings — so crash-recovery time can feed
     /// benchmark artifacts without enabling per-probe instrumentation.
     pub elapsed_ns: u64,
+    /// Where `elapsed_ns` went, stage by stage.
+    pub stages: RecoveryStages,
+}
+
+/// Wall-clock nanoseconds per recovery stage, always measured. The
+/// stages run one after another inside [`RecoveryReport::elapsed_ns`], so
+/// they sum to at most it; the rest is glue (fingerprint checks, seeding
+/// the dirty-extent set, metrics).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct RecoveryStages {
+    /// Reading the checkpoint, delta and WAL files.
+    pub read_ns: u64,
+    /// Decoding them: frame CRCs, rows and their extents, the WAL scan.
+    pub decode_ns: u64,
+    /// Merging the base with its delta chain into one state.
+    pub merge_ns: u64,
+    /// Building the constraint indexes over the merged state.
+    pub index_build_ns: u64,
+    /// Checking every constraint against those indexes.
+    pub validate_ns: u64,
+    /// Replaying the committed WAL units.
+    pub replay_ns: u64,
+    /// Rewriting a torn, stale or rejected WAL.
+    pub rewrite_ns: u64,
+}
+
+impl RecoveryStages {
+    /// `(field name, nanoseconds)` per stage, in execution order.
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("read_ns", self.read_ns),
+            ("decode_ns", self.decode_ns),
+            ("merge_ns", self.merge_ns),
+            ("index_build_ns", self.index_build_ns),
+            ("validate_ns", self.validate_ns),
+            ("replay_ns", self.replay_ns),
+            ("rewrite_ns", self.rewrite_ns),
+        ]
+    }
+
+    /// Sum over all stages.
+    pub fn total_ns(&self) -> u64 {
+        self.named().iter().map(|(_, ns)| ns).sum()
+    }
+}
+
+/// Wall-clock nanoseconds since `start`, saturating.
+pub fn elapsed_ns(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Runs `f`, adding its wall-clock nanoseconds to `slot` (a
+/// [`RecoveryStages`] field).
+pub fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = std::time::Instant::now();
+    let out = f();
+    *slot += elapsed_ns(start);
+    out
 }
 
 impl std::fmt::Display for RecoveryReport {
@@ -176,6 +236,16 @@ impl std::fmt::Display for RecoveryReport {
                 "recovery took {:.3} ms",
                 self.elapsed_ns as f64 / 1_000_000.0
             )?;
+            let stages: Vec<String> = self
+                .stages
+                .named()
+                .iter()
+                .map(|(name, ns)| {
+                    let stage = name.trim_end_matches("_ns");
+                    format!("{stage} {:.3}", *ns as f64 / 1_000_000.0)
+                })
+                .collect();
+            writeln!(f, "stages (ms): {}", stages.join(", "))?;
         }
         Ok(())
     }

@@ -480,13 +480,18 @@ pub fn decode_paged(bytes: &[u8]) -> Result<PagedSnap, CorruptError> {
 /// and geometry equal — [`crate::store::read_store`] does); this
 /// re-asserts the structural parts and applies each delta's extents as
 /// wholesale replacements, last writer wins.
-pub fn merge_chain(base: &PagedSnap, deltas: &[&PagedSnap]) -> Result<RelState, CorruptError> {
+///
+/// The decoded files are consumed: every row moves into the state once,
+/// uncloned. Each table's rows are gathered, sorted and bulk-built
+/// ([`RelState::from_table_rows`]); a row present twice in a table is a
+/// [`CorruptError`].
+pub fn merge_chain(base: PagedSnap, deltas: Vec<PagedSnap>) -> Result<RelState, CorruptError> {
     if base.flavor != SnapFlavor::Base {
         return Err(bad("pagesnap: chain must start with a base"));
     }
-    let mut layers: BTreeMap<(u32, u32), &Vec<Row>> = BTreeMap::new();
-    for (t, e, rows) in &base.extents {
-        layers.insert((*t, *e), rows);
+    let mut layers: BTreeMap<(u32, u32), Vec<Row>> = BTreeMap::new();
+    for (t, e, rows) in base.extents {
+        layers.insert((t, e), rows);
     }
     for d in deltas {
         if d.flavor != SnapFlavor::Delta {
@@ -495,19 +500,19 @@ pub fn merge_chain(base: &PagedSnap, deltas: &[&PagedSnap]) -> Result<RelState, 
         if d.geometry != base.geometry {
             return Err(bad("pagesnap: delta geometry diverges from base"));
         }
-        for (t, e, rows) in &d.extents {
-            layers.insert((*t, *e), rows);
+        for (t, e, rows) in d.extents {
+            layers.insert((t, e), rows);
         }
     }
-    let mut state = RelState::with_tables(base.geometry.num_tables());
+    let mut tables: Vec<Vec<Row>> = vec![Vec::new(); base.geometry.num_tables()];
     for ((t, _e), rows) in layers {
-        for row in rows {
-            if !state.insert(TableId(t), row.clone()) {
-                return Err(bad(format!("pagesnap: duplicate row in table {t}")));
-            }
-        }
+        tables[t as usize].extend(rows);
     }
-    Ok(state)
+    let (state, dropped) = RelState::from_table_rows(tables);
+    match dropped.iter().position(|n| *n > 0) {
+        Some(t) => Err(bad(format!("pagesnap: duplicate row in table {t}"))),
+        None => Ok(state),
+    }
 }
 
 #[cfg(test)]
@@ -546,10 +551,10 @@ mod tests {
         assert_eq!(dec.epoch, 5);
         assert_eq!(dec.fingerprint, 0xFEED);
         assert_eq!(dec.geometry, geometry);
-        assert_eq!(merge_chain(&dec, &[]).unwrap(), st);
+        assert_eq!(merge_chain(dec, Vec::new()).unwrap(), st);
         // Idempotent: decoding the same bytes again merges identically.
         assert_eq!(
-            merge_chain(&decode_paged(&bytes).unwrap(), &[]).unwrap(),
+            merge_chain(decode_paged(&bytes).unwrap(), Vec::new()).unwrap(),
             st
         );
     }
@@ -588,7 +593,7 @@ mod tests {
         assert_eq!(stats.extents, dirty.len() as u64);
         let delta = decode_paged(&delta_bytes).unwrap();
         assert_eq!(delta.flavor, SnapFlavor::Delta);
-        assert_eq!(merge_chain(&base, &[&delta]).unwrap(), st);
+        assert_eq!(merge_chain(base, vec![delta]).unwrap(), st);
     }
 
     #[test]
@@ -603,7 +608,7 @@ mod tests {
         let (delta_bytes, _) = encode_delta(2, 7, &st, &geometry, &dirty);
         let delta = decode_paged(&delta_bytes).unwrap();
         assert_eq!(delta.extents, vec![(0, e, Vec::new())]);
-        assert_eq!(merge_chain(&base, &[&delta]).unwrap(), st);
+        assert_eq!(merge_chain(base, vec![delta]).unwrap(), st);
     }
 
     #[test]
@@ -625,10 +630,7 @@ mod tests {
             let (bytes, _) = encode_delta(2 + gen, 7, &st, &geometry, &dirty);
             deltas.push(decode_paged(&bytes).unwrap());
         }
-        assert_eq!(
-            merge_chain(&base, &deltas.iter().collect::<Vec<_>>()).unwrap(),
-            st
-        );
+        assert_eq!(merge_chain(base, deltas).unwrap(), st);
     }
 
     #[test]
@@ -663,7 +665,24 @@ mod tests {
         let _ = decode_paged(&sb).unwrap();
         let (db, _) = encode_delta(2, 7, &small, &sg, &BTreeSet::new());
         let delta = decode_paged(&db).unwrap();
-        assert!(merge_chain(&base, &[&delta]).is_err());
+        assert!(merge_chain(base, vec![delta]).is_err());
+    }
+
+    #[test]
+    fn duplicate_row_in_a_chain_is_corruption() {
+        // A CRC-valid base whose one extent carries the same row twice:
+        // the frames decode, the merge refuses the set.
+        let row = vec![v("twice")];
+        let geometry = ExtentGeometry { extents: vec![1] };
+        let mut bytes = SNAP2_MAGIC.to_vec();
+        bytes.extend_from_slice(&header_frame(FLAVOR_BASE, 1, 7, &geometry));
+        encode_extent(&mut bytes, 0, 0, &[&row, &row], &mut SnapStats::default());
+        let mut end = vec![KIND_SNAP_END];
+        put_u64(&mut end, 2);
+        bytes.extend_from_slice(&frame(&end));
+        let base = decode_paged(&bytes).unwrap();
+        let err = merge_chain(base, Vec::new()).unwrap_err();
+        assert!(err.0.contains("duplicate row in table 0"), "{err:?}");
     }
 
     #[test]

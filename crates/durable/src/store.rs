@@ -53,6 +53,7 @@ use crate::pagesnap::{
 };
 use crate::token::CorruptError;
 use crate::wal::{scan_wal, wal_init_bytes, WalScan};
+use crate::{timed, RecoveryStages};
 
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -331,7 +332,9 @@ pub struct StoreScan {
     /// The chain's extent geometry (v2 only) — the engine continues the
     /// delta chain against this.
     pub geometry: Option<ExtentGeometry>,
-    /// Snapshot/delta files present but rejected (CRC/parse failure).
+    /// Snapshot/delta files decoded and rejected (CRC/parse failure).
+    /// Only files the scan decodes count: `checkpoint.prev` is decoded
+    /// only when `checkpoint.snap` is missing or rejected.
     pub snapshots_rejected: usize,
     /// The WAL scan (committed units already filtered to the live
     /// epoch; stale units are dropped and counted below).
@@ -343,6 +346,9 @@ pub struct StoreScan {
     pub stale_wal: bool,
     /// True when no WAL file existed (fresh directory).
     pub fresh: bool,
+    /// Time spent reading, decoding and merging; the later stages are
+    /// left zero for the engine to fill in.
+    pub stages: RecoveryStages,
 }
 
 /// A decoded checkpoint: the state a base plus its delta chain describe.
@@ -390,6 +396,10 @@ fn decode_base(bytes: &[u8]) -> Result<PagedSnap, CorruptError> {
 /// cross-file inconsistencies that would force replaying ops against the
 /// wrong base state come back as [`CorruptError`].
 ///
+/// Only one base is decoded: `checkpoint.snap`, or `checkpoint.prev` when
+/// `snap` is missing or rejected. Both slots are still read for the
+/// legacy-format refusal, which needs only the bytes.
+///
 /// Besides reading, this performs the store's **repair hygiene**: an
 /// orphaned `checkpoint.tmp`/`wal.tmp` (crash or failed checkpoint
 /// mid-write) is deleted, and on a successful scan, delta files that did
@@ -399,19 +409,22 @@ fn decode_base(bytes: &[u8]) -> Result<PagedSnap, CorruptError> {
 /// v1 text format refuses the store before any of that runs.
 pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan, CorruptError>> {
     let mut out = StoreScan::default();
-    let mut candidates: Vec<(PagedSnap, &'static str)> = Vec::new();
+    let mut chosen: Option<(PagedSnap, &'static str)> = None;
     let mut snap_rejected = false;
     for file in [SNAP_FILE, SNAP_PREV_FILE] {
         let path = store_path(dir, file);
         if !io.exists(&path) {
             continue;
         }
-        let bytes = io.read(&path)?;
+        let bytes = timed(&mut out.stages.read_ns, || io.read(&path))?;
         if let Err(e) = refuse_legacy(file, &bytes) {
             return Ok(Err(e));
         }
-        match decode_base(&bytes) {
-            Ok(base) => candidates.push((base, file)),
+        if chosen.is_some() {
+            continue;
+        }
+        match timed(&mut out.stages.decode_ns, || decode_base(&bytes)) {
+            Ok(base) => chosen = Some((base, file)),
             Err(_) => {
                 out.snapshots_rejected += 1;
                 if file == SNAP_FILE {
@@ -437,8 +450,9 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
     let delta_seqs = probe_deltas(io, dir);
     let mut deltas: Vec<(u32, PagedSnap)> = Vec::new();
     for seq in &delta_seqs {
-        let bytes = io.read(&store_path(dir, &delta_file(*seq)))?;
-        match decode_paged(&bytes) {
+        let path = store_path(dir, &delta_file(*seq));
+        let bytes = timed(&mut out.stages.read_ns, || io.read(&path))?;
+        match timed(&mut out.stages.decode_ns, || decode_paged(&bytes)) {
             Ok(p) if p.flavor == SnapFlavor::Delta => deltas.push((*seq, p)),
             _ => out.snapshots_rejected += 1,
         }
@@ -446,13 +460,13 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
 
     let wal_path = store_path(dir, WAL_FILE);
     let wal_bytes = if io.exists(&wal_path) {
-        io.read(&wal_path)?
+        timed(&mut out.stages.read_ns, || io.read(&wal_path))?
     } else {
         out.fresh = true;
         Vec::new()
     };
     out.wal_len = wal_bytes.len() as u64;
-    out.wal = scan_wal(&wal_bytes);
+    out.wal = timed(&mut out.stages.decode_ns, || scan_wal(&wal_bytes));
     let wal_epoch = out.wal.header.map(|h| h.epoch);
 
     // The newest valid base decides: `prev` only exists as the fallback
@@ -462,15 +476,15 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
     // base without corrupting the state, so it is reported, not guessed
     // at.
     let mut chained: Vec<u32> = Vec::new();
-    if let Some((paged, file)) = candidates.into_iter().next() {
+    if let Some((paged, file)) = chosen {
         // Link deltas onto the base: `checkpoint.d{k}` belongs iff its
         // epoch is exactly base.epoch + k and fingerprint + geometry
         // match. Deltas must be dense from 1; the first gap, epoch skip,
         // or mismatch ends the chain (later files are orphans).
-        let mut chain: Vec<&PagedSnap> = Vec::new();
-        for (seq, d) in &deltas {
+        let mut chain: Vec<PagedSnap> = Vec::new();
+        for (seq, d) in deltas {
             let position = chain.len() as u32 + 1;
-            if *seq != position
+            if seq != position
                 || d.epoch != paged.epoch + position as u64
                 || d.fingerprint != paged.fingerprint
                 || d.geometry != paged.geometry
@@ -478,20 +492,21 @@ pub fn read_store(io: &dyn DurableIo, dir: &Path) -> io::Result<Result<StoreScan
                 break;
             }
             chain.push(d);
-            chained.push(*seq);
+            chained.push(seq);
         }
-        let state = match merge_chain(&paged, &chain) {
+        out.snapshot_format = 2;
+        out.deltas_merged = chain.len();
+        out.geometry = Some(paged.geometry.clone());
+        let (epoch, fingerprint) = (paged.epoch + chain.len() as u64, paged.fingerprint);
+        let state = match timed(&mut out.stages.merge_ns, || merge_chain(paged, chain)) {
             Ok(state) => state,
             Err(e) => return Ok(Err(e)),
         };
-        out.snapshot_format = 2;
-        out.deltas_merged = chain.len();
         let snapshot = Snapshot {
-            epoch: paged.epoch + chain.len() as u64,
-            fingerprint: paged.fingerprint,
+            epoch,
+            fingerprint,
             state,
         };
-        out.geometry = Some(paged.geometry);
         let usable = match wal_epoch {
             // No readable WAL header: any valid chain is the best
             // recoverable state (the log tail counts as discarded).

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use ridl_brm::Value;
+use ridl_durable::timed;
 use ridl_relational::{
     parallel, validate_delta, validate_load, ColumnSelection, ConstraintIndexes, Delta, DeltaOp,
     RelSchema, RelState, RelViolation, Row, TableId,
@@ -243,32 +244,55 @@ impl Database {
         self.mode
     }
 
-    /// Replaces the whole state, validating it first (in parallel for
-    /// large states) and rebuilding the constraint indexes. Any open
-    /// transactions are discarded.
+    /// Replaces the whole state, validating it first and rebuilding the
+    /// constraint indexes. Like [`Database::bulk_load`] it builds the
+    /// indexes once and checks every constraint in aggregate over them
+    /// ([`validate_load`]) — the same verdict as the full validator.
+    /// Any open transactions are discarded.
     pub fn load_state(&mut self, state: RelState) -> Result<(), EngineError> {
+        self.load_state_timed(state, &mut 0, &mut 0)
+    }
+
+    /// [`Database::load_state`], adding the nanoseconds spent building
+    /// the indexes and validating against them to `build_ns` and
+    /// `validate_ns` (recovery reports both as stages).
+    pub(crate) fn load_state_timed(
+        &mut self,
+        state: RelState,
+        build_ns: &mut u64,
+        validate_ns: &mut u64,
+    ) -> Result<(), EngineError> {
         self.ensure_writable()?;
         let mut span = ridl_obs::span::enter("engine.load_state");
         if span.is_recording() {
             span.attr("rows", state.num_rows());
         }
-        let violations = parallel::validate_parallel(&self.schema, &state);
+        let indexes = timed(build_ns, || ConstraintIndexes::build(&self.schema, &state));
+        let violations = timed(validate_ns, || {
+            validate_load(&self.schema, &state, &indexes)
+        });
         if !violations.is_empty() {
             return Err(EngineError::ConstraintViolation(violations));
         }
-        // Durable stores checkpoint the incoming state *before* the swap:
-        // a checkpoint failure aborts the load with both the memory and
-        // the on-disk store still holding the old state. Always a full
-        // base — the dirty-extent set describes the *current* state, not
-        // this candidate.
+        self.install(state, indexes)
+    }
+
+    /// Swaps in a validated state with its freshly built indexes. Durable
+    /// stores checkpoint it *before* the swap: a checkpoint failure aborts
+    /// with both the memory and the on-disk store still holding the old
+    /// state. Always a full base — the dirty-extent set describes the
+    /// *current* state, not this candidate. Open transactions and
+    /// deferred checks are discarded.
+    fn install(&mut self, state: RelState, indexes: ConstraintIndexes) -> Result<(), EngineError> {
         self.wal_checkpoint_of(&state, true)?;
-        self.indexes = ConstraintIndexes::build(&self.schema, &state);
         self.state = state;
+        self.indexes = indexes;
         self.undo.clear();
         self.txn_marks.clear();
         self.has_unchecked = false;
         self.unchecked_mark = None;
         self.unchecked_uncovered = false;
+        self.debug_check_equivalence();
         Ok(())
     }
 
@@ -497,10 +521,10 @@ impl Database {
         self.last_report.as_ref()
     }
 
-    /// Debug oracle: a state the delta validator accepted must also satisfy
-    /// the full validator, and the incremental indexes must equal a fresh
-    /// build. Compiled out of release builds; skipped while unchecked rows
-    /// make the precondition (valid pre-state) false.
+    /// Debug oracle: a state the delta or the aggregate (load) validator
+    /// accepted must also satisfy the full validator, and the indexes must
+    /// equal a fresh build. Compiled out of release builds; skipped while
+    /// unchecked rows make the precondition (valid pre-state) false.
     fn debug_check_equivalence(&self) {
         #[cfg(debug_assertions)]
         {
@@ -509,7 +533,8 @@ impl Database {
                 let full = validate::validate(&self.schema, &self.state);
                 debug_assert!(
                     full.is_empty(),
-                    "delta validation accepted a state the full validator rejects: {full:?}"
+                    "delta or aggregate validation accepted a state the full validator \
+                     rejects: {full:?}"
                 );
                 debug_assert!(
                     self.indexes.consistent_with(&self.schema, &self.state),
@@ -716,7 +741,7 @@ impl Database {
     /// large loads), then checking each constraint **in aggregate** over
     /// its counters — O(distinct projections) per constraint plus one
     /// hash-free structural pass, instead of the per-constraint state
-    /// scans of [`Database::load_state`].
+    /// scans of the full validator.
     ///
     /// Sound because the empty pre-state is trivially valid, so the
     /// charged counters summarise exactly the loaded state. Duplicate
@@ -730,20 +755,19 @@ impl Database {
         rows: impl IntoIterator<Item = (TableId, Row)>,
     ) -> Result<usize, EngineError> {
         self.ensure_writable()?;
-        let mut state = RelState::with_tables(self.schema.tables.len());
-        let mut loaded = 0usize;
+        let mut tables: Vec<Vec<Row>> = vec![Vec::new(); self.schema.tables.len()];
         for (tid, row) in rows {
-            if tid.index() >= self.schema.tables.len() {
+            let Some(table) = tables.get_mut(tid.index()) else {
                 return Err(EngineError::Unknown(format!(
                     "table id {} (schema has {})",
                     tid.index(),
                     self.schema.tables.len()
                 )));
-            }
-            if state.insert(tid, row) {
-                loaded += 1;
-            }
+            };
+            table.push(row);
         }
+        let (state, _) = RelState::from_table_rows(tables);
+        let loaded = state.num_rows();
         let m = ridl_obs::metrics();
         let detail = ridl_obs::detail_enabled();
         let before = if detail {
@@ -786,20 +810,9 @@ impl Database {
         if !violations.is_empty() {
             return Err(EngineError::ConstraintViolation(violations));
         }
-        // Durable stores checkpoint the loaded state before swapping it
-        // in, so a failure leaves memory and disk both on the old state
-        // (logging every row through the WAL would double-write the
-        // load). Always a full base — the dirty-extent set describes the
-        // current state, not this candidate.
-        self.wal_checkpoint_of(&state, true)?;
-        self.state = state;
-        self.indexes = indexes;
-        self.undo.clear();
-        self.txn_marks.clear();
-        self.has_unchecked = false;
-        self.unchecked_mark = None;
-        self.unchecked_uncovered = false;
-        self.debug_check_equivalence();
+        // Checkpointing the load (in `install`) instead of logging every
+        // row through the WAL avoids double-writing it.
+        self.install(state, indexes)?;
         Ok(loaded)
     }
 

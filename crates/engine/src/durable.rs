@@ -26,9 +26,9 @@ use std::time::Instant;
 
 use ridl_durable::store::{store_path, CheckpointFailure, WAL_FILE};
 use ridl_durable::{
-    encode_unit, fingerprint_str, read_store, wal, write_checkpoint, CheckpointKind,
-    CheckpointPlan, CheckpointStats, Durability, DurableIo, ExtentGeometry, FsyncPolicy,
-    RecoveryReport, StdIo,
+    elapsed_ns, encode_unit, fingerprint_str, read_store, timed, wal, write_checkpoint,
+    CheckpointKind, CheckpointPlan, CheckpointStats, Durability, DurableIo, ExtentGeometry,
+    FsyncPolicy, RecoveryReport, StdIo,
 };
 use ridl_obs::journal;
 use ridl_obs::Severity;
@@ -161,8 +161,11 @@ impl Database {
             }
         }
 
-        // Base state: the chosen checkpoint, fully validated on the way in
-        // (load_state), or the empty state.
+        // Base state: the chosen checkpoint or the empty state. The
+        // checkpoint goes in through `load_state`, which builds the
+        // constraint indexes and checks every constraint against them, so
+        // a CRC-valid but constraint-invalid checkpoint is refused.
+        let mut stages = scan.stages;
         let epoch = match scan.snapshot {
             Some((snap, file)) => {
                 if snap.state.num_tables() != db.schema.tables.len() {
@@ -174,7 +177,11 @@ impl Database {
                 }
                 report.checkpoint = Some((snap.epoch, file));
                 let epoch = snap.epoch;
-                db.load_state(snap.state)?;
+                db.load_state_timed(
+                    snap.state,
+                    &mut stages.index_build_ns,
+                    &mut stages.validate_ns,
+                )?;
                 epoch
             }
             None => scan.wal.header.map(|h| h.epoch).unwrap_or(0),
@@ -205,6 +212,7 @@ impl Database {
         // passed live); unchecked units re-defer, exactly as the live run
         // did. A unit that no longer validates stops replay gracefully.
         let units = scan.wal.units;
+        let replay_start = Instant::now();
         for unit in &units {
             if report.replay_rejected {
                 break;
@@ -247,6 +255,7 @@ impl Database {
             report.units_replayed += 1;
             report.ops_replayed += unit.ops.len();
         }
+        stages.replay_ns = elapsed_ns(replay_start);
 
         // Re-seed the dirty-extent set from the replayed units: their
         // changes are in the WAL but not yet in the chain on disk, so the
@@ -295,7 +304,9 @@ impl Database {
             last_ckpt: None,
         };
         if dirty {
-            let rewrite = rewrite_wal(&handle, &units, report.units_replayed);
+            let rewrite = timed(&mut stages.rewrite_ns, || {
+                rewrite_wal(&handle, &units, report.units_replayed)
+            });
             journal::record(
                 if rewrite.is_ok() {
                     Severity::Warn
@@ -334,19 +345,18 @@ impl Database {
         ridl_obs::hist::record_named("recover.units_replayed", report.units_replayed as u64);
         ridl_obs::hist::record_named("recover.deltas_merged", report.deltas_merged as u64);
         ridl_obs::hist::record_named("recover.bytes_scanned", report.wal_bytes_scanned);
-        report.elapsed_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        report.stages = stages;
+        report.elapsed_ns = elapsed_ns(wall);
         if !report.fresh {
-            journal::record(
-                Severity::Info,
-                "recover.done",
-                vec![
-                    ("epoch", epoch.into()),
-                    ("units", report.units_replayed.into()),
-                    ("ops", report.ops_replayed.into()),
-                    ("discarded", report.bytes_discarded.into()),
-                    ("elapsed_ns", report.elapsed_ns.into()),
-                ],
-            );
+            let mut attrs = vec![
+                ("epoch", epoch.into()),
+                ("units", report.units_replayed.into()),
+                ("ops", report.ops_replayed.into()),
+                ("discarded", report.bytes_discarded.into()),
+                ("elapsed_ns", report.elapsed_ns.into()),
+            ];
+            attrs.extend(stages.named().map(|(name, ns)| (name, ns.into())));
+            journal::record(Severity::Info, "recover.done", attrs);
             // Dump-on-recovery: the one moment the flight recorder is
             // guaranteed to matter. No-op unless RIDL_JOURNAL_JSONL is set.
             journal::dump_env();

@@ -285,6 +285,10 @@ pub fn validate_load(
     // Aggregate pass: one walk over each constraint's counter entries.
     for compiled in &indexes.compiled {
         let sw = ridl_obs::Stopwatch::start();
+        let mut span = ridl_obs::span::enter(compiled.kind.obs_class().span_name());
+        if span.is_recording() {
+            span.attr("constraint", compiled.name.clone());
+        }
         let start = out.len();
         check_aggregate(schema, indexes, compiled, &mut out);
         out[start..].sort();

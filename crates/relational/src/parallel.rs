@@ -19,10 +19,13 @@
 //! (`tests/parallel_validator.rs` asserts this differentially on seeded
 //! and deliberately corrupted populations).
 //!
-//! The engine uses this for its O(state) validations — `commit`,
-//! `load_state` and the `FullState` oracle mode — where the constraint
-//! count of an industrial mapping (hundreds of constraints over 120–150
-//! tables) gives the scheduler real work to spread.
+//! The engine uses this for its O(state) validations — `commit`, a
+//! checkpoint with deferred checks pending, and the `FullState` oracle
+//! mode — where the constraint count of an industrial mapping (hundreds
+//! of constraints over 120–150 tables) gives the scheduler real work to
+//! spread. Whole-state installs (`load_state`, `bulk_load`, recovery)
+//! instead check in aggregate against the indexes they build anyway
+//! ([`crate::delta::validate_load`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

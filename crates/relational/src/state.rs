@@ -20,64 +20,48 @@ pub type Row = Vec<Option<Value>>;
 /// count, so a clone serves as a cheap immutable **snapshot**. Mutating
 /// either side after a clone copies only the touched table. This is what
 /// lets server sessions read a frozen version while the writer advances.
-///
-/// Each table carries a monotone **mutation counter**, bumped on every
-/// effective [`RelState::insert`]/[`RelState::remove`]. The durability
-/// layer reads the counters to estimate churn between checkpoints; they
-/// are bookkeeping, not data, so equality compares rows only (two states
-/// with the same rows are equal regardless of how they got there).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct RelState {
     tables: Vec<Arc<BTreeSet<Row>>>,
-    mutations: Vec<u64>,
 }
-
-impl PartialEq for RelState {
-    fn eq(&self, other: &Self) -> bool {
-        self.tables == other.tables
-    }
-}
-
-impl Eq for RelState {}
 
 impl RelState {
     /// An empty state for a schema with `num_tables` tables.
     pub fn with_tables(num_tables: usize) -> Self {
         Self {
             tables: (0..num_tables).map(|_| Arc::new(BTreeSet::new())).collect(),
-            mutations: vec![0; num_tables],
         }
+    }
+
+    /// Builds a state from each table's rows, given in any order: every
+    /// table is sorted once and its set bulk-built from the sorted run,
+    /// instead of one random-order insert per row. Duplicate rows
+    /// collapse to one, as with [`RelState::insert`]; the second value
+    /// counts the duplicates dropped from each table.
+    pub fn from_table_rows(tables: Vec<Vec<Row>>) -> (Self, Vec<usize>) {
+        let mut dropped = Vec::with_capacity(tables.len());
+        let tables = tables
+            .into_iter()
+            .map(|mut rows| {
+                rows.sort_unstable();
+                let before = rows.len();
+                rows.dedup();
+                dropped.push(before - rows.len());
+                // Sorted and distinct: `BTreeSet` builds it in one linear pass.
+                Arc::new(rows.into_iter().collect::<BTreeSet<Row>>())
+            })
+            .collect();
+        (Self { tables }, dropped)
     }
 
     /// Inserts a row; returns false if it was already present.
     pub fn insert(&mut self, table: TableId, row: Row) -> bool {
-        let done = Arc::make_mut(&mut self.tables[table.index()]).insert(row);
-        if done {
-            self.mutations[table.index()] += 1;
-        }
-        done
+        Arc::make_mut(&mut self.tables[table.index()]).insert(row)
     }
 
     /// Removes a row; returns false if absent.
     pub fn remove(&mut self, table: TableId, row: &Row) -> bool {
-        let done = Arc::make_mut(&mut self.tables[table.index()]).remove(row);
-        if done {
-            self.mutations[table.index()] += 1;
-        }
-        done
-    }
-
-    /// Per-table mutation counters: effective inserts + removes since the
-    /// state was created. Direct edits through [`RelState::rows_mut`]
-    /// bypass the counters (that door exists for tests planting
-    /// corruption, not for regular mutation paths).
-    pub fn mutation_counts(&self) -> &[u64] {
-        &self.mutations
-    }
-
-    /// Total effective mutations across all tables.
-    pub fn total_mutations(&self) -> u64 {
-        self.mutations.iter().sum()
+        Arc::make_mut(&mut self.tables[table.index()]).remove(row)
     }
 
     /// The rows of a table.
@@ -166,20 +150,18 @@ mod tests {
     }
 
     #[test]
-    fn mutation_counters_track_effective_changes_but_not_equality() {
-        let mut a = RelState::with_tables(2);
-        let mut b = RelState::with_tables(2);
-        let t = TableId(0);
-        a.insert(t, vec![v("x")]);
-        a.insert(t, vec![v("x")]); // duplicate: no effect, no count
-        a.remove(t, &vec![v("y")]); // absent: no effect, no count
-        a.remove(t, &vec![v("x")]);
-        assert_eq!(a.mutation_counts(), &[2, 0]);
-        assert_eq!(a.total_mutations(), 2);
-        // Same rows, different history: still equal.
-        assert_eq!(a, b);
-        b.insert(TableId(1), vec![v("z")]);
-        assert_ne!(a, b);
+    fn from_table_rows_sorts_and_drops_duplicates() {
+        let rows = vec![
+            vec![vec![v("c")], vec![v("a")], vec![v("c")], vec![v("b")]],
+            vec![],
+        ];
+        let (st, dropped) = RelState::from_table_rows(rows);
+        assert_eq!(dropped, vec![1, 0]);
+        let mut want = RelState::with_tables(2);
+        for x in ["b", "c", "a"] {
+            want.insert(TableId(0), vec![v(x)]);
+        }
+        assert_eq!(st, want);
     }
 
     #[test]

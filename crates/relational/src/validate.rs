@@ -13,6 +13,7 @@ use std::fmt;
 use ridl_brm::Value;
 
 use crate::constraint::{ColumnSelection, RelConstraintKind};
+use crate::index::{sel_projection, sel_qualifies};
 use crate::schema::RelSchema;
 use crate::state::{RelState, Row};
 use crate::table::TableId;
@@ -33,8 +34,28 @@ impl fmt::Display for RelViolation {
     }
 }
 
-fn eval(sel: &ColumnSelection, state: &RelState) -> BTreeSet<Row> {
-    state.select_where(sel.table, &sel.cols, &sel.not_null, &sel.eq)
+/// The rows of `table` that have the table's arity. A malformed row is
+/// reported once, as `ARITY`, by the structure pass and is exempt from
+/// every constraint — as in the constraint indexes, which never charge
+/// one — so the full and the aggregate verdicts name the same
+/// constraints.
+fn well_formed<'a>(
+    schema: &RelSchema,
+    state: &'a RelState,
+    table: TableId,
+) -> impl Iterator<Item = &'a Row> {
+    let arity = schema.table(table).arity();
+    state
+        .rows(table)
+        .iter()
+        .filter(move |row| row.len() == arity)
+}
+
+fn eval(schema: &RelSchema, sel: &ColumnSelection, state: &RelState) -> BTreeSet<Row> {
+    well_formed(schema, state, sel.table)
+        .filter(|row| sel_qualifies(row, sel))
+        .map(|row| sel_projection(row, sel))
+        .collect()
 }
 
 /// Validates `state` against every structural rule and constraint of
@@ -159,10 +180,7 @@ fn check_key(
 ) {
     let tname = &schema.table(table).name;
     let mut seen: BTreeSet<Vec<Value>> = BTreeSet::new();
-    for row in state.rows(table) {
-        if row.len() != schema.table(table).arity() {
-            continue; // already reported as ARITY
-        }
+    for row in well_formed(schema, state, table) {
         match key_projection(row, cols) {
             Some(key) => {
                 if !seen.insert(key.clone()) {
@@ -241,12 +259,10 @@ fn check_constraint_inner(
             ref_table,
             ref_cols,
         } => {
-            let targets: BTreeSet<Vec<Value>> = state
-                .rows(*ref_table)
-                .iter()
+            let targets: BTreeSet<Vec<Value>> = well_formed(schema, state, *ref_table)
                 .filter_map(|r| key_projection(r, ref_cols))
                 .collect();
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 if let Some(key) = key_projection(row, cols) {
                     if !targets.contains(&key) {
                         out.push(RelViolation {
@@ -262,8 +278,8 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::EqualityView { left, right } => {
-            let l = eval(left, state);
-            let r = eval(right, state);
+            let l = eval(schema, left, state);
+            let r = eval(schema, right, state);
             if l != r {
                 let diff: Vec<_> = l.symmetric_difference(&r).take(3).collect();
                 out.push(RelViolation {
@@ -273,8 +289,8 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::SubsetView { sub, sup } => {
-            let s = eval(sub, state);
-            let p = eval(sup, state);
+            let s = eval(schema, sub, state);
+            let p = eval(schema, sup, state);
             if let Some(row) = s.difference(&p).next() {
                 out.push(RelViolation {
                     constraint: name.to_owned(),
@@ -284,9 +300,9 @@ fn check_constraint_inner(
         }
         RelConstraintKind::ExclusionView { items } => {
             for i in 0..items.len() {
-                let a = eval(&items[i], state);
+                let a = eval(schema, &items[i], state);
                 for item in items.iter().skip(i + 1) {
-                    let b = eval(item, state);
+                    let b = eval(schema, item, state);
                     if let Some(row) = a.intersection(&b).next() {
                         out.push(RelViolation {
                             constraint: name.to_owned(),
@@ -297,8 +313,8 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::TotalUnionView { over, items } => {
-            let o = eval(over, state);
-            let union: BTreeSet<Row> = items.iter().flat_map(|i| eval(i, state)).collect();
+            let o = eval(schema, over, state);
+            let union: BTreeSet<Row> = items.iter().flat_map(|i| eval(schema, i, state)).collect();
             if let Some(row) = o.difference(&union).next() {
                 out.push(RelViolation {
                     constraint: name.to_owned(),
@@ -311,7 +327,7 @@ fn check_constraint_inner(
             dependent,
             on,
         } => {
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 if row[*dependent as usize].is_some() && row[*on as usize].is_none() {
                     out.push(RelViolation {
                         constraint: name.to_owned(),
@@ -326,7 +342,7 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::EqualExistence { table, cols } => {
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 let set = cols.iter().filter(|c| row[**c as usize].is_some()).count();
                 if set != 0 && set != cols.len() {
                     out.push(RelViolation {
@@ -347,8 +363,8 @@ fn check_constraint_inner(
             key_cols,
             sub,
         } => {
-            let members = eval(sub, state);
-            for row in state.rows(*table) {
+            let members = eval(schema, sub, state);
+            for row in well_formed(schema, state, *table) {
                 let key: Row = key_cols.iter().map(|c| row[*c as usize].clone()).collect();
                 let flagged = row[*indicator as usize].as_ref() == Some(when_value);
                 let present = members.contains(&key);
@@ -367,7 +383,7 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::CheckValue { table, col, values } => {
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 if let Some(v) = &row[*col as usize] {
                     if !values.contains(v) {
                         out.push(RelViolation {
@@ -383,7 +399,7 @@ fn check_constraint_inner(
             }
         }
         RelConstraintKind::CoverExistence { table, groups } => {
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 let covered = groups
                     .iter()
                     .any(|g| g.iter().all(|c| row[*c as usize].is_some()));
@@ -405,7 +421,7 @@ fn check_constraint_inner(
             max,
         } => {
             let mut counts: BTreeMap<Vec<Value>, u32> = BTreeMap::new();
-            for row in state.rows(*table) {
+            for row in well_formed(schema, state, *table) {
                 if let Some(key) = key_projection(row, cols) {
                     *counts.entry(key).or_insert(0) += 1;
                 }

@@ -646,7 +646,7 @@ fn run() -> Result<(), CliError> {
                 );
             }
             println!(
-                "   recovery: {} units / {} ops replayed in {:.2} ms ({:.0} ops/s, {} WAL bytes)",
+                "   recovery: {} units / {} ops replayed in {:.2} ms ({:.0} ops/s replay, {} WAL bytes)",
                 art.wal.replay_units,
                 art.wal.replay_ops,
                 art.recovery_seconds * 1e3,

@@ -271,6 +271,7 @@ fn recover_reports_store_state_and_exit_codes() {
     assert!(stdout.contains("wal:"), "{stdout}");
     assert!(stdout.contains("-- recovered 0 rows"), "{stdout}");
     assert!(stdout.contains("Paper: 0 rows"), "{stdout}");
+    assert!(stdout.contains("stages (ms): read "), "{stdout}");
 
     // 3: a missing store directory is an input error, not a fresh store.
     let (_, stderr, code) = ridl_with_input(&["recover", "-", "/no/such/store"], SCHEMA);
@@ -407,6 +408,13 @@ fn journal_dump_on_recovery_lists_replay_in_order() {
         .position(|l| l.contains("\"kind\":\"recover.done\""));
     assert!(begin.is_some() && done.is_some(), "{text}");
     assert!(begin < done, "begin before done");
+    let done_line = lines[done.unwrap()];
+    for key in ["\"read_ns\":", "\"validate_ns\":", "\"replay_ns\":"] {
+        assert!(
+            done_line.contains(key),
+            "recover.done lacks {key}: {done_line}"
+        );
+    }
     let units: Vec<usize> = lines
         .iter()
         .filter(|l| l.contains("\"kind\":\"recover.replay\""))

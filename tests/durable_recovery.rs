@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ridl_brm::{DataType, Value};
 use ridl_durable::store::{store_path, SNAP_FILE, SNAP_PREV_FILE, SNAP_TMP_FILE, WAL_FILE};
 use ridl_durable::{
-    delta_file, CheckpointKind, Durability, FaultKind, FaultPlan, FaultyIo, FsyncPolicy,
+    delta_file, CheckpointKind, Durability, DurableIo, FaultKind, FaultPlan, FaultyIo, FsyncPolicy,
 };
 use ridl_engine::{Database, EngineError};
 use ridl_relational::{validate, Column, RelConstraintKind, RelSchema, Table};
@@ -733,4 +733,126 @@ fn legacy_v1_snapshot_is_refused_by_open_and_status() {
     );
     let why = status.get("corrupt").and_then(|v| v.as_str()).unwrap();
     assert!(why.contains("RIDLSNAP 1"), "{why}");
+}
+
+/// Two base checkpoints, so both slots hold a base: `snap` the newer,
+/// `prev` the one before.
+fn store_with_both_slots(io: &Arc<FaultyIo>) -> ridl_relational::RelState {
+    let mut db = open(io, always());
+    db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
+    db.checkpoint_full().unwrap();
+    db.insert("Paper", vec![v("P2"), None]).unwrap();
+    db.checkpoint_full().unwrap();
+    assert!(io.peek(&store_path(&dir(), SNAP_PREV_FILE)).is_some());
+    db.state().clone()
+}
+
+/// Recovery decodes `checkpoint.prev` only when `checkpoint.snap` is
+/// missing or rejected: damage to an unused fallback neither counts as a
+/// rejected snapshot nor gets the file deleted, and the offline
+/// inspector, which decodes every file, still reports it.
+#[test]
+fn damaged_prev_beside_a_good_snap_is_not_decoded_or_deleted() {
+    let io = Arc::new(FaultyIo::new());
+    let want = store_with_both_slots(&io);
+    let prev = store_path(&dir(), SNAP_PREV_FILE);
+    let mut damaged = io.peek(&prev).unwrap();
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x40;
+    io.poke(&prev, damaged.clone());
+
+    let db = open(&io, always());
+    assert_eq!(db.state(), &want);
+    let r = db.recovery_report().unwrap();
+    assert_eq!(r.checkpoint.unwrap().1, SNAP_FILE);
+    assert_eq!(r.snapshots_rejected, 0, "prev was never decoded");
+    drop(db);
+    assert_eq!(io.peek(&prev), Some(damaged), "prev left as it was");
+
+    let status = ridl_durable::inspect_store(&*io, &dir()).unwrap();
+    assert_eq!(status.base_file, Some(SNAP_FILE));
+    assert!(
+        status
+            .rejected
+            .iter()
+            .any(|(file, _)| file == SNAP_PREV_FILE),
+        "{status:?}"
+    );
+}
+
+/// The legacy-format refusal covers both slots, even though a good
+/// `snap` means `prev` is never decoded.
+#[test]
+fn legacy_v1_prev_refuses_the_store() {
+    let io = Arc::new(FaultyIo::new());
+    store_with_both_slots(&io);
+    io.poke(
+        &store_path(&dir(), SNAP_PREV_FILE),
+        b"RIDLSNAP 1\nepoch 1\nfingerprint 0000000000000007\ntables 0\nend\n".to_vec(),
+    );
+    let Err(err) = Database::open_with(io.clone(), dir(), sample_schema(), always()) else {
+        panic!("a store with a legacy fallback must not open");
+    };
+    assert!(matches!(err, EngineError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("legacy v1 text snapshot"), "{err}");
+}
+
+/// A CRC-valid base checkpoint of a constraint-invalid state — a
+/// duplicate primary key and a dangling foreign key — is refused by the
+/// constraint check on the recovered base.
+#[test]
+fn constraint_invalid_checkpoint_is_refused() {
+    let io = Arc::new(FaultyIo::new());
+    let mut db = open(&io, always());
+    db.checkpoint().unwrap();
+    drop(db);
+    let snap = store_path(&dir(), SNAP_FILE);
+    let valid = ridl_durable::decode_paged(&io.peek(&snap).unwrap()).unwrap();
+
+    let schema = sample_schema();
+    let mut bad = ridl_relational::RelState::with_tables(2);
+    let (paper, pp) = (ridl_relational::TableId(0), ridl_relational::TableId(1));
+    bad.insert(paper, vec![v("P1"), v("A1")]);
+    bad.insert(paper, vec![v("P1"), v("A2")]); // duplicate Paper_Id
+    bad.insert(pp, vec![v("A9"), v("S1")]); // no Paper has Program_Id A9
+    let (bytes, _, _) = ridl_durable::encode_base(valid.epoch, valid.fingerprint, &bad);
+    io.poke(&snap, bytes);
+
+    let Err(err) = Database::open_with(io.clone(), dir(), schema.clone(), always()) else {
+        panic!("a constraint-invalid checkpoint must not open");
+    };
+    let EngineError::ConstraintViolation(violations) = err else {
+        panic!("expected a constraint violation, got {err}");
+    };
+    let named: std::collections::BTreeSet<&str> =
+        violations.iter().map(|x| x.constraint.as_str()).collect();
+    let want: std::collections::BTreeSet<&str> = [0, 2]
+        .iter()
+        .map(|i| schema.constraints[*i].name.as_str())
+        .collect();
+    assert_eq!(named, want, "{violations:?}");
+}
+
+/// Every recovery stage is timed, and the stages, which run one after
+/// another, sum to at most the whole recovery.
+#[test]
+fn recovery_stages_sum_to_at_most_the_elapsed_time() {
+    let io = Arc::new(FaultyIo::new());
+    let mut db = open(&io, always());
+    db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
+    db.checkpoint().unwrap();
+    db.insert("Paper", vec![v("P2"), None]).unwrap();
+    drop(db);
+    // A torn tail makes recovery rewrite the WAL, so every stage runs.
+    io.append(&store_path(&dir(), WAL_FILE), &[0xAB; 7])
+        .unwrap();
+
+    let db = open(&io, always());
+    let r = db.recovery_report().unwrap();
+    assert_eq!(r.units_replayed, 1);
+    assert!(r.bytes_discarded > 0);
+    let s = r.stages;
+    assert!(s.total_ns() > 0, "{s:?}");
+    assert!(s.total_ns() <= r.elapsed_ns, "{s:?} vs {}", r.elapsed_ns);
+    assert!(r.to_string().contains("stages (ms): read "), "{r}");
 }

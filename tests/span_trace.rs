@@ -15,9 +15,19 @@ use ridl_workloads::cris;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
+/// What one traced run recorded.
+struct Traced<T> {
+    out: T,
+    events: Vec<ridl_obs::SpanEvent>,
+    dropped: u64,
+    /// The histogram registry, snapshot while the lock is still held (a
+    /// later read could see another test's `clear_histograms`).
+    hists: Vec<(&'static str, Histogram)>,
+}
+
 /// Runs `f` with tracing enabled and a clean collector; returns the
-/// recorded events.
-fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<ridl_obs::SpanEvent>, u64) {
+/// recorded events and histograms.
+fn traced<T>(f: impl FnOnce() -> T) -> Traced<T> {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     ridl_obs::span::clear();
     ridl_obs::hist::clear_histograms();
@@ -25,7 +35,13 @@ fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<ridl_obs::SpanEvent>, u64) {
     let out = f();
     ridl_obs::set_tracing(false);
     let (events, dropped) = ridl_obs::span::take_events();
-    (out, events, dropped)
+    let hists = ridl_obs::histograms_snapshot();
+    Traced {
+        out,
+        events,
+        dropped,
+        hists,
+    }
 }
 
 /// The CRIS pipeline end to end: analyze, map, generate SQL, load into the
@@ -44,7 +60,14 @@ fn run_pipeline() -> ridl_core::MappingOutput {
 
 #[test]
 fn pipeline_spans_cover_every_stage() {
-    let (out, events, dropped) = traced(run_pipeline);
+    // Render under the trace lock too: another test may clear the
+    // registry as soon as it is released.
+    let Traced {
+        out: (out, rendered),
+        events,
+        dropped,
+        hists,
+    } = traced(|| (run_pipeline(), ridl_obs::render_histograms()));
     assert_eq!(dropped, 0, "pipeline fits the collector");
     let names: Vec<&str> = events.iter().map(|e| e.name).collect();
     // RIDL-A: the pass spans nest under the analyze span.
@@ -69,7 +92,7 @@ fn pipeline_spans_cover_every_stage() {
     assert!(names.contains(&"sqlgen.generate"));
     // Engine enforcement: statement, validation and per-class checks.
     assert!(names.contains(&"engine.load_state"), "{names:?}");
-    assert!(names.contains(&"validate.full"), "{names:?}");
+    assert!(names.contains(&"validate.load"), "{names:?}");
     assert!(
         names.iter().any(|n| n.starts_with("validate.")
             && *n != "validate.full"
@@ -94,8 +117,7 @@ fn pipeline_spans_cover_every_stage() {
     assert_eq!(setalg.parent, Some(analyze_id));
 
     // Histograms: every span name shows up with ordered quantiles.
-    let hists = ridl_obs::histograms_snapshot();
-    for name in ["analyzer.analyze", "transform.apply", "validate.full"] {
+    for name in ["analyzer.analyze", "transform.apply", "validate.load"] {
         let h = hists
             .iter()
             .find(|(n, _)| *n == name)
@@ -106,14 +128,15 @@ fn pipeline_spans_cover_every_stage() {
         assert!(h.p90() <= h.p99());
         assert!(h.p99() <= h.max());
     }
-    let rendered = ridl_obs::render_histograms();
     assert!(rendered.contains("LATENCY HISTOGRAMS"));
     assert!(rendered.contains("transform.apply"));
 }
 
 #[test]
 fn chrome_trace_of_pipeline_validates() {
-    let (_, events, dropped) = traced(run_pipeline);
+    let Traced {
+        events, dropped, ..
+    } = traced(run_pipeline);
     let json = ridl_obs::chrome_trace(&events, dropped);
     let stats = ridl_obs::validate_chrome_trace(&json).expect("pipeline trace is well-formed");
     assert!(stats.spans as usize <= events.len());
@@ -142,7 +165,7 @@ fn disabled_tracing_records_nothing() {
 /// validation aggregates per-class latencies into one histogram per name.
 #[test]
 fn parallel_validation_merges_worker_histograms() {
-    let (_, events, _) = traced(|| {
+    let Traced { events, hists, .. } = traced(|| {
         let sc = ridl_workloads::scenario::industrial_population(11, 2_000);
         let violations = ridl_relational::validate_with_workers(&sc.schema, &sc.state, 4);
         assert!(violations.is_empty());
@@ -156,7 +179,6 @@ fn parallel_validation_merges_worker_histograms() {
         threads.len() > 1,
         "validation spans span multiple threads: {threads:?}"
     );
-    let hists = ridl_obs::histograms_snapshot();
     let (_, key_hist) = hists
         .iter()
         .find(|(n, _)| *n == "validate.key")
