@@ -18,10 +18,20 @@
 //! 5. `x ⊆ y ∧ empty(y) ⟹ empty(x)`;
 //! 6. `cover(o, items) ∧ (∀i: empty(i) ∨ disjoint(o,i)) ⟹ empty(o)`
 //!    (a total union whose members are all unavailable to `o`).
+//!
+//! No rule derives an inclusion or a disjointness from an emptiness, so
+//! saturation is staged. The inclusions are closed once (rule 2), the
+//! declared disjointness pairs are pushed down the closed lattice in one
+//! pass (rule 3), and only rules 4–6 iterate. The relations are square bit
+//! matrices, one row of `u64` words per node, so the fixpoint rounds are
+//! row ANDs. For `n` nodes, `e` base inclusions, `d` declared
+//! disjointness pairs and `r` rounds of rules 4–6, the worst case is
+//! `O(n·(n+e) + (d+r)·n²/64)` operations; real schemas have shallow
+//! inclusion lattices and few rounds, so it is close to linear there.
 
 use std::collections::HashMap;
 
-use ridl_brm::{ConstraintKind, RoleOrSublink, RoleRef, Schema, Side};
+use ridl_brm::{ConstraintId, ConstraintKind, RoleOrSublink, RoleRef, Schema, Side};
 
 use crate::report::Finding;
 
@@ -32,183 +42,267 @@ enum Node {
     Role(u32, Side),
 }
 
-/// The saturated set-algebra over a schema's populations.
-pub struct SetAlgebra {
-    nodes: Vec<Node>,
+impl Node {
+    fn role(r: &RoleRef) -> Self {
+        Node::Role(r.fact.raw(), r.side)
+    }
+
+    fn item(schema: &Schema, item: &RoleOrSublink) -> Self {
+        match item {
+            RoleOrSublink::Role(r) => Node::role(r),
+            RoleOrSublink::Sublink(s) => Node::Ot(schema.sublink(*s).sub.raw()),
+        }
+    }
+}
+
+/// A square bit matrix: row `i` is a set of nodes, as `u64` words.
+struct BitMatrix {
+    rows: Vec<Vec<u64>>,
+}
+
+impl BitMatrix {
+    fn new(n: usize) -> Self {
+        BitMatrix {
+            rows: vec![vec![0; n.div_ceil(64)]; n],
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i]
+    }
+
+    fn get(&self, i: usize, j: usize) -> bool {
+        has(&self.rows[i], j)
+    }
+
+    /// Sets bit `(i, j)`; returns whether it was clear.
+    fn set(&mut self, i: usize, j: usize) -> bool {
+        let fresh = !has(&self.rows[i], j);
+        put(&mut self.rows[i], j);
+        fresh
+    }
+
+    /// ORs `src` into row `i`.
+    fn or_row(&mut self, i: usize, src: &[u64]) {
+        for (d, s) in self.rows[i].iter_mut().zip(src) {
+            *d |= s;
+        }
+    }
+
+    /// The columns set in row `i`, ascending.
+    fn ones(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows[i].iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest.wrapping_sub(1);
+                (b < 64).then_some(w * 64 + b)
+            })
+        })
+    }
+}
+
+fn has(row: &[u64], j: usize) -> bool {
+    row[j / 64] & (1 << (j % 64)) != 0
+}
+
+fn put(row: &mut [u64], j: usize) {
+    row[j / 64] |= 1 << (j % 64);
+}
+
+/// The base facts of a schema, before saturation: its nodes, the declared
+/// inclusions and disjointness pairs (each tagged with the constraint that
+/// states it; structural inclusions carry no tag), and the covers.
+struct Base {
     index: HashMap<Node, usize>,
-    subset: Vec<Vec<bool>>,
-    disjoint: Vec<Vec<bool>>,
-    empty: Vec<bool>,
+    subset: Vec<(usize, usize, Option<ConstraintId>)>,
+    disjoint: Vec<(usize, usize, ConstraintId)>,
     covers: Vec<(usize, Vec<usize>)>,
 }
 
-impl SetAlgebra {
+impl Base {
     fn node(&mut self, n: Node) -> usize {
-        if let Some(&i) = self.index.get(&n) {
-            return i;
-        }
-        let i = self.nodes.len();
-        self.nodes.push(n);
-        self.index.insert(n, i);
-        for row in &mut self.subset {
-            row.push(false);
-        }
-        for row in &mut self.disjoint {
-            row.push(false);
-        }
-        self.subset.push(vec![false; i + 1]);
-        self.disjoint.push(vec![false; i + 1]);
-        self.subset[i][i] = true;
-        self.empty.push(false);
-        i
+        let next = self.index.len();
+        *self.index.entry(n).or_insert(next)
     }
 
-    /// Builds the base facts from a schema.
-    pub fn from_schema(schema: &Schema) -> Self {
-        let mut sa = SetAlgebra {
-            nodes: Vec::new(),
+    fn collect(schema: &Schema) -> Self {
+        let mut b = Base {
             index: HashMap::new(),
             subset: Vec::new(),
             disjoint: Vec::new(),
-            empty: Vec::new(),
             covers: Vec::new(),
         };
         // Structure: roles within players, subtypes within supertypes.
         for (fid, ft) in schema.fact_types() {
             for side in Side::BOTH {
-                let r = sa.node(Node::Role(fid.raw(), side));
-                let p = sa.node(Node::Ot(ft.player(side).raw()));
-                sa.subset[r][p] = true;
+                let r = b.node(Node::Role(fid.raw(), side));
+                let p = b.node(Node::Ot(ft.player(side).raw()));
+                b.subset.push((r, p, None));
             }
         }
         for (_, sl) in schema.sublinks() {
-            let sub = sa.node(Node::Ot(sl.sub.raw()));
-            let sup = sa.node(Node::Ot(sl.sup.raw()));
-            sa.subset[sub][sup] = true;
+            let sub = b.node(Node::Ot(sl.sub.raw()));
+            let sup = b.node(Node::Ot(sl.sup.raw()));
+            b.subset.push((sub, sup, None));
         }
         // Constraints.
-        let item_node = |sa: &mut SetAlgebra, item: &RoleOrSublink| match item {
-            RoleOrSublink::Role(r) => sa.node(Node::Role(r.fact.raw(), r.side)),
-            RoleOrSublink::Sublink(s) => sa.node(Node::Ot(schema.sublink(*s).sub.raw())),
-        };
-        for (_, c) in schema.constraints() {
+        for (cid, c) in schema.constraints() {
             match &c.kind {
                 ConstraintKind::Total { over, items } => {
-                    let o = sa.node(Node::Ot(over.raw()));
-                    let is: Vec<usize> = items.iter().map(|i| item_node(&mut sa, i)).collect();
+                    let o = b.node(Node::Ot(over.raw()));
+                    let is: Vec<usize> = items
+                        .iter()
+                        .map(|i| b.node(Node::item(schema, i)))
+                        .collect();
                     if is.len() == 1 {
                         // Total role: the player's population equals the
                         // role's (mutual inclusion).
-                        sa.subset[o][is[0]] = true;
+                        b.subset.push((o, is[0], Some(cid)));
                     }
-                    sa.covers.push((o, is));
+                    b.covers.push((o, is));
                 }
                 ConstraintKind::Exclusion { items } => {
-                    let is: Vec<usize> = items.iter().map(|i| item_node(&mut sa, i)).collect();
+                    let is: Vec<usize> = items
+                        .iter()
+                        .map(|i| b.node(Node::item(schema, i)))
+                        .collect();
                     for x in 0..is.len() {
                         for y in (x + 1)..is.len() {
-                            sa.disjoint[is[x]][is[y]] = true;
-                            sa.disjoint[is[y]][is[x]] = true;
+                            b.disjoint.push((is[x], is[y], cid));
                         }
                     }
                 }
                 ConstraintKind::Subset { sub, sup } if sub.len() == 1 && sup.len() == 1 => {
-                    let a = sa.node(Node::Role(sub[0].fact.raw(), sub[0].side));
-                    let b = sa.node(Node::Role(sup[0].fact.raw(), sup[0].side));
-                    sa.subset[a][b] = true;
+                    let x = b.node(Node::role(&sub[0]));
+                    let y = b.node(Node::role(&sup[0]));
+                    b.subset.push((x, y, Some(cid)));
                 }
-                ConstraintKind::Equality { a, b } if a.len() == 1 && b.len() == 1 => {
-                    let x = sa.node(Node::Role(a[0].fact.raw(), a[0].side));
-                    let y = sa.node(Node::Role(b[0].fact.raw(), b[0].side));
-                    sa.subset[x][y] = true;
-                    sa.subset[y][x] = true;
+                ConstraintKind::Equality { a, b: eq } if a.len() == 1 && eq.len() == 1 => {
+                    let x = b.node(Node::role(&a[0]));
+                    let y = b.node(Node::role(&eq[0]));
+                    b.subset.push((x, y, Some(cid)));
+                    b.subset.push((y, x, Some(cid)));
                 }
                 _ => {}
             }
         }
-        sa.saturate();
-        sa
+        b
     }
 
-    fn saturate(&mut self) {
-        let n = self.nodes.len();
+    /// Saturates the base facts, leaving out those `skip` states.
+    fn saturate(&self, skip: Option<ConstraintId>) -> Lattice {
+        let n = self.index.len();
+        let kept = |tag: Option<ConstraintId>| tag.is_none() || tag != skip;
+
+        // Rule 2: close the inclusions, one depth-first walk per node over
+        // the base edges; row `i` doubles as the walk's visited set.
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(x, y, tag) in &self.subset {
+            if kept(tag) {
+                succ[x].push(y);
+            }
+        }
+        let mut subset = BitMatrix::new(n);
+        let mut stack = Vec::new();
+        for i in 0..n {
+            subset.set(i, i);
+            stack.push(i);
+            while let Some(x) = stack.pop() {
+                for &y in &succ[x] {
+                    if subset.set(i, y) {
+                        stack.push(y);
+                    }
+                }
+            }
+        }
+
+        // Rule 3, in one pass over the closed lattice: a declared pair
+        // (a, b) makes everything below `a` disjoint from everything below
+        // `b`. `below[a]` is column `a` of `subset`.
+        let mut below = BitMatrix::new(n);
+        for x in 0..n {
+            for a in subset.ones(x) {
+                below.set(a, x);
+            }
+        }
+        let mut disjoint = BitMatrix::new(n);
+        for &(a, b, tag) in &self.disjoint {
+            if !kept(Some(tag)) {
+                continue;
+            }
+            for (from, to) in [(a, b), (b, a)] {
+                for x in below.ones(from) {
+                    disjoint.or_row(x, below.row(to));
+                }
+            }
+        }
+
+        // Rule 4: self-disjoint means empty.
+        let mut empty = vec![0u64; n.div_ceil(64)];
+        for x in (0..n).filter(|&x| disjoint.get(x, x)) {
+            put(&mut empty, x);
+        }
+        // Rules 5 and 6 until nothing changes.
         let mut changed = true;
         while changed {
             changed = false;
-            // Rule 2: transitivity.
-            for k in 0..n {
-                for i in 0..n {
-                    if self.subset[i][k] {
-                        for j in 0..n {
-                            if self.subset[k][j] && !self.subset[i][j] {
-                                self.subset[i][j] = true;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-            // Rule 3: disjointness inherits down the lattice.
-            for a in 0..n {
-                for b in 0..n {
-                    if !self.disjoint[a][b] {
-                        continue;
-                    }
-                    for x in 0..n {
-                        if !self.subset[x][a] {
-                            continue;
-                        }
-                        for y in 0..n {
-                            if self.subset[y][b] && !self.disjoint[x][y] {
-                                self.disjoint[x][y] = true;
-                                self.disjoint[y][x] = true;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-            // Rule 4: self-disjoint means empty.
+            // Rule 5: a node with an empty superset is empty.
             for x in 0..n {
-                if self.disjoint[x][x] && !self.empty[x] {
-                    self.empty[x] = true;
+                if !has(&empty, x) && subset.row(x).iter().zip(&empty).any(|(s, e)| s & e != 0) {
+                    put(&mut empty, x);
                     changed = true;
-                }
-            }
-            // Rule 5: emptiness propagates down inclusions.
-            for x in 0..n {
-                if self.empty[x] {
-                    continue;
-                }
-                for y in 0..n {
-                    if self.subset[x][y] && self.empty[y] {
-                        self.empty[x] = true;
-                        changed = true;
-                        break;
-                    }
                 }
             }
             // Rule 6: a covered node with no available member is empty.
-            // Take/restore instead of cloning the cover list on every
-            // fixpoint round; only `empty` is written inside the loop.
-            let covers = std::mem::take(&mut self.covers);
-            for (o, items) in &covers {
-                if self.empty[*o] {
-                    continue;
-                }
-                let all_unavailable = items.iter().all(|&i| self.empty[i] || self.disjoint[*o][i]);
-                if all_unavailable {
-                    self.empty[*o] = true;
+            for (o, items) in &self.covers {
+                if !has(&empty, *o) && items.iter().all(|&i| has(&empty, i) || disjoint.get(*o, i))
+                {
+                    put(&mut empty, *o);
                     changed = true;
                 }
             }
-            self.covers = covers;
+        }
+        Lattice {
+            subset,
+            disjoint,
+            empty,
+        }
+    }
+}
+
+/// Saturated relations over the nodes of a [`Base`].
+struct Lattice {
+    /// Row `x`: every `y` with `x ⊆ y`.
+    subset: BitMatrix,
+    /// Row `x`: every `y` disjoint from `x`.
+    disjoint: BitMatrix,
+    /// The nodes forced empty, as one bit row.
+    empty: Vec<u64>,
+}
+
+/// The saturated set-algebra over a schema's populations.
+pub struct SetAlgebra {
+    index: HashMap<Node, usize>,
+    lattice: Lattice,
+}
+
+impl SetAlgebra {
+    /// Builds the base facts from a schema and saturates them.
+    pub fn from_schema(schema: &Schema) -> Self {
+        let base = Base::collect(schema);
+        let lattice = base.saturate(None);
+        SetAlgebra {
+            index: base.index,
+            lattice,
         }
     }
 
     /// Whether a node's population is forced empty.
     fn node_empty(&self, n: Node) -> bool {
-        self.index.get(&n).map(|&i| self.empty[i]).unwrap_or(false)
+        self.index
+            .get(&n)
+            .is_some_and(|&i| has(&self.lattice.empty, i))
     }
 
     /// Whether the schema forces an object type's population empty.
@@ -218,7 +312,7 @@ impl SetAlgebra {
 
     /// Whether the schema forces a role's population empty.
     pub fn role_forced_empty(&self, role: RoleRef) -> bool {
-        self.node_empty(Node::Role(role.fact.raw(), role.side))
+        self.node_empty(Node::role(&role))
     }
 }
 
@@ -229,54 +323,34 @@ impl SetAlgebra {
 /// likewise for exclusions. Reported as Info: harmless, but the engineer
 /// may want the canonicalisation pass to drop them.
 ///
-/// This is a removal-based exact check — one full saturation per candidate
-/// constraint — so it is **not** part of [`check`]; run it on demand (the
+/// This is a removal-based exact check — one saturation per candidate
+/// constraint, over the base facts collected once with the candidate's own
+/// left out — so it is **not** part of [`check`]; run it on demand (the
 /// paper's RIDL-A also checks "on demand").
 pub fn implied_constraints(schema: &Schema) -> Vec<Finding> {
+    let base = Base::collect(schema);
     let mut out = Vec::new();
     for (cid, c) in schema.constraints() {
         let target: Option<(Node, Node, bool)> = match &c.kind {
-            ConstraintKind::Subset { sub, sup } if sub.len() == 1 && sup.len() == 1 => Some((
-                Node::Role(sub[0].fact.raw(), sub[0].side),
-                Node::Role(sup[0].fact.raw(), sup[0].side),
-                false,
-            )),
-            ConstraintKind::Exclusion { items } if items.len() == 2 => {
-                let node = |i: &RoleOrSublink| match i {
-                    RoleOrSublink::Role(r) => Node::Role(r.fact.raw(), r.side),
-                    RoleOrSublink::Sublink(s) => Node::Ot(schema.sublink(*s).sub.raw()),
-                };
-                Some((node(&items[0]), node(&items[1]), true))
+            ConstraintKind::Subset { sub, sup } if sub.len() == 1 && sup.len() == 1 => {
+                Some((Node::role(&sub[0]), Node::role(&sup[0]), false))
             }
+            ConstraintKind::Exclusion { items } if items.len() == 2 => Some((
+                Node::item(schema, &items[0]),
+                Node::item(schema, &items[1]),
+                true,
+            )),
             _ => None,
         };
         let Some((a, b, disjoint)) = target else {
             continue;
         };
-        // Rebuild the schema without this constraint and saturate.
-        let mut reduced = Schema::new(schema.name.clone());
-        for (_, o) in schema.object_types() {
-            reduced.push_object_type(o.clone());
-        }
-        for (_, f) in schema.fact_types() {
-            reduced.push_fact_type(f.clone());
-        }
-        for (_, sl) in schema.sublinks() {
-            reduced.push_sublink(*sl);
-        }
-        for (other_id, other) in schema.constraints() {
-            if other_id != cid {
-                reduced.push_constraint(other.clone());
-            }
-        }
-        let sa = SetAlgebra::from_schema(&reduced);
-        let (Some(&ia), Some(&ib)) = (sa.index.get(&a), sa.index.get(&b)) else {
-            continue;
-        };
+        let lattice = base.saturate(Some(cid));
+        let (ia, ib) = (base.index[&a], base.index[&b]);
         let implied = if disjoint {
-            sa.disjoint[ia][ib]
+            lattice.disjoint.get(ia, ib)
         } else {
-            sa.subset[ia][ib]
+            lattice.subset.get(ia, ib)
         };
         if implied {
             out.push(Finding::info(
@@ -290,6 +364,10 @@ pub fn implied_constraints(schema: &Schema) -> Vec<Finding> {
     }
     out
 }
+
+#[cfg(test)]
+#[path = "setalg_oracle.rs"]
+mod oracle;
 
 /// Runs the consistency check over a schema; returns the findings.
 pub fn check(schema: &Schema) -> Vec<Finding> {

@@ -73,6 +73,12 @@ fn bench(c: &mut Criterion) {
     group.bench_function("setalg_consistency", |b| {
         b.iter(|| ridl_analyzer::setalg::check(&s.schema))
     });
+    // At the §5 industrial size (about 1,900 population nodes) the
+    // saturation's cost shows; at 40 NOLOTs it hides.
+    let industrial = synth::generate(&GenParams::industrial(1989));
+    group.bench_function("setalg_consistency_industrial", |b| {
+        b.iter(|| ridl_analyzer::setalg::check(&industrial.schema))
+    });
     group.bench_function("reference_inference", |b| {
         b.iter(|| ridl_analyzer::reference::infer(&s.schema))
     });

@@ -15,8 +15,10 @@
 //! high-level process specifications into relational application programs."
 //! `ridl-engine` executes the forward SELECTs directly, closing that loop.
 
-use ridl_brm::{ObjectTypeKind, Schema, Side};
-use ridl_relational::{ColumnSelection, RelSchema};
+use std::collections::HashMap;
+
+use ridl_brm::{ConstraintId, FactTypeId, ObjectTypeId, ObjectTypeKind, Schema, Side, SublinkId};
+use ridl_relational::{ColumnSelection, RelSchema, TableId};
 
 use crate::grouping::{ConstraintMapping, FactRealization, MappingOutput, SubMembership};
 
@@ -120,6 +122,19 @@ fn forwards(out: &MappingOutput) -> String {
     let mut s = String::from("FORWARDS MAP\n");
     s.push_str(RULE);
 
+    // Each lexical object type's columns, sorted.
+    let mut lot_cols: HashMap<ObjectTypeId, Vec<String>> = HashMap::new();
+    for (&(t, c), lot) in &out.col_sources {
+        let table = rel.table(TableId(t));
+        lot_cols
+            .entry(*lot)
+            .or_default()
+            .push(format!("{}.{}", table.name, table.column(c).name));
+    }
+    for cols in lot_cols.values_mut() {
+        cols.sort();
+    }
+
     // Object types.
     for (oid, ot) in schema.object_types() {
         s.push_str(&format!(
@@ -137,24 +152,11 @@ fn forwards(out: &MappingOutput) -> String {
             }
             None => {
                 // Attribute-like or absorbed: population is derived.
-                let cols: Vec<String> = out
-                    .col_sources
-                    .iter()
-                    .filter(|(_, lot)| **lot == oid)
-                    .map(|((t, c), _)| {
-                        format!(
-                            "{}.{}",
-                            rel.table(ridl_relational::TableId(*t)).name,
-                            rel.table(ridl_relational::TableId(*t)).column(*c).name
-                        )
-                    })
-                    .collect();
-                if cols.is_empty() {
-                    s.push_str("    (population not stored)\n");
-                } else {
-                    let mut cols = cols;
-                    cols.sort();
-                    s.push_str(&format!("    VALUES OCCURRING IN {}\n", cols.join(" , ")));
+                match lot_cols.get(&oid) {
+                    None => s.push_str("    (population not stored)\n"),
+                    Some(cols) => {
+                        s.push_str(&format!("    VALUES OCCURRING IN {}\n", cols.join(" , ")))
+                    }
                 }
             }
         }
@@ -283,63 +285,180 @@ fn key_anchor(out: &MappingOutput, fid: ridl_brm::FactTypeId) -> u32 {
     }
 }
 
+/// Appends `item` to `list` unless it was the last one appended, so an
+/// item listed once per source (a fact naming a column twice, a step
+/// naming a rule twice) lands once.
+fn push_once<T: PartialEq>(list: &mut Vec<T>, item: T) {
+    if list.last() != Some(&item) {
+        list.push(item);
+    }
+}
+
+/// The backwards map's inverted lists, built in one pass over each
+/// binary concept. Every list is in the concept's declaration order.
+struct Inverted<'a> {
+    /// Per table: the object types anchored in it.
+    table_ots: Vec<Vec<ObjectTypeId>>,
+    /// Per table: the facts realised in it.
+    table_facts: Vec<Vec<FactTypeId>>,
+    /// Per table: the sublinks whose membership it represents.
+    table_sublinks: Vec<Vec<SublinkId>>,
+    /// Per table and column: the facts whose roles it holds.
+    col_facts: Vec<Vec<Vec<FactTypeId>>>,
+    /// Per table and column: the sublinks whose membership it holds.
+    col_sublinks: Vec<Vec<Vec<SublinkId>>>,
+    /// Per relational constraint name: the binary constraints mapped to it.
+    constraints: HashMap<&'a str, Vec<ConstraintId>>,
+    /// Per lossless rule name: the trace steps that introduced it.
+    steps: HashMap<&'a str, Vec<usize>>,
+}
+
+impl<'a> Inverted<'a> {
+    fn new(out: &'a MappingOutput) -> Self {
+        let schema = &out.schema;
+        let rel = &out.rel;
+        fn per_table<T: Clone>(rel: &RelSchema) -> Vec<Vec<T>> {
+            vec![Vec::new(); rel.tables.len()]
+        }
+        fn per_col<T: Clone>(rel: &RelSchema) -> Vec<Vec<Vec<T>>> {
+            rel.tables
+                .iter()
+                .map(|t| vec![Vec::new(); t.columns.len()])
+                .collect()
+        }
+        fn slot<T: PartialEq>(lists: &mut [Vec<Vec<T>>], t: TableId, c: u32, item: T) {
+            push_once(&mut lists[t.0 as usize][c as usize], item);
+        }
+        let mut inv = Inverted {
+            table_ots: per_table(rel),
+            table_facts: per_table(rel),
+            table_sublinks: per_table(rel),
+            col_facts: per_col(rel),
+            col_sublinks: per_col(rel),
+            constraints: HashMap::new(),
+            steps: HashMap::new(),
+        };
+
+        for (oid, _) in schema.object_types() {
+            if let Some(a) = out.anchor_of(oid) {
+                inv.table_ots[a.table.0 as usize].push(oid);
+            }
+        }
+        for (fid, _) in schema.fact_types() {
+            let (table, cols): (TableId, Vec<&u32>) = match out.realization(fid) {
+                FactRealization::KeyOf { table, cols, .. } => (*table, cols.iter().collect()),
+                FactRealization::Attribute {
+                    table, value_cols, ..
+                } => (*table, value_cols.iter().collect()),
+                FactRealization::OwnTable {
+                    table,
+                    left_cols,
+                    right_cols,
+                } => (*table, left_cols.iter().chain(right_cols).collect()),
+                FactRealization::Omitted => continue,
+            };
+            inv.table_facts[table.0 as usize].push(fid);
+            for &c in cols {
+                slot(&mut inv.col_facts, table, c, fid);
+            }
+        }
+        for (sid, _) in schema.sublinks() {
+            let Some(m) = &out.sub_memb[sid.index()] else {
+                continue;
+            };
+            let tables = match m {
+                SubMembership::SubRelation { table, .. }
+                | SubMembership::AbsorbedColumns { table, .. }
+                | SubMembership::Indicator { table, .. } => [*table, *table],
+                SubMembership::OwnKeyLinked {
+                    table, super_table, ..
+                } => [*table, *super_table],
+                SubMembership::LinkTable {
+                    table, link_table, ..
+                } => [*table, *link_table],
+            };
+            for t in tables {
+                push_once(&mut inv.table_sublinks[t.0 as usize], sid);
+            }
+            match m {
+                SubMembership::LinkTable { link_table, .. } => {
+                    for c in 0..rel.table(*link_table).columns.len() as u32 {
+                        slot(&mut inv.col_sublinks, *link_table, c, sid);
+                    }
+                }
+                SubMembership::OwnKeyLinked {
+                    super_table,
+                    is_cols,
+                    ..
+                } => {
+                    for &c in is_cols {
+                        slot(&mut inv.col_sublinks, *super_table, c, sid);
+                    }
+                }
+                SubMembership::Indicator { table, col, .. } => {
+                    slot(&mut inv.col_sublinks, *table, *col, sid);
+                }
+                _ => {}
+            }
+        }
+        for (cid, _) in schema.constraints() {
+            if let ConstraintMapping::Relational(names) = &out.constraint_map[cid.index()] {
+                for n in names {
+                    push_once(inv.constraints.entry(n.as_str()).or_default(), cid);
+                }
+            }
+        }
+        for (i, step) in out.trace.steps().iter().enumerate() {
+            for r in &step.lossless_rules {
+                push_once(inv.steps.entry(r.as_str()).or_default(), i);
+            }
+        }
+        inv
+    }
+}
+
 fn backwards(out: &MappingOutput) -> String {
     let schema = &out.schema;
     let rel = &out.rel;
+    let inv = Inverted::new(out);
+    let facts: Vec<String> = schema
+        .fact_types()
+        .map(|(fid, _)| describe_fact(schema, fid))
+        .collect();
+    let sublinks: Vec<String> = schema
+        .sublinks()
+        .map(|(sid, _)| describe_sublink(schema, sid))
+        .collect();
     let mut s = String::from("BACKWARDS MAP\n");
     s.push_str(RULE);
 
     for (tid, table) in rel.tables() {
+        let t = tid.0 as usize;
         // Table derivation: every fact/sublink realised in it.
         s.push_str(&format!("TABLE {}\n    DERIVED FROM\n", table.name));
-        for (oid, _) in schema.object_types() {
-            if out.anchor_of(oid).map(|a| a.table) == Some(tid) {
-                s.push_str(&format!(
-                    "    {} {}\n",
-                    ot_kind_word(schema.kind_of(oid)),
-                    schema.ot_name(oid)
-                ));
-            }
+        for &oid in &inv.table_ots[t] {
+            s.push_str(&format!(
+                "    {} {}\n",
+                ot_kind_word(schema.kind_of(oid)),
+                schema.ot_name(oid)
+            ));
         }
-        for (fid, _) in schema.fact_types() {
-            let touches = match out.realization(fid) {
-                FactRealization::KeyOf { table: t, .. }
-                | FactRealization::Attribute { table: t, .. }
-                | FactRealization::OwnTable { table: t, .. } => *t == tid,
-                FactRealization::Omitted => false,
-            };
-            if touches {
-                s.push_str(&format!("    {} ,\n", describe_fact(schema, fid)));
-            }
+        for fid in &inv.table_facts[t] {
+            s.push_str(&format!("    {} ,\n", facts[fid.index()]));
         }
-        for (sid, _) in schema.sublinks() {
-            let touches = match &out.sub_memb[sid.index()] {
-                Some(SubMembership::SubRelation { table, .. }) => *table == tid,
-                Some(SubMembership::OwnKeyLinked {
-                    table, super_table, ..
-                }) => *table == tid || *super_table == tid,
-                Some(SubMembership::LinkTable {
-                    table, link_table, ..
-                }) => *table == tid || *link_table == tid,
-                Some(SubMembership::AbsorbedColumns { table, .. }) => *table == tid,
-                Some(SubMembership::Indicator { table, .. }) => *table == tid,
-                None => false,
-            };
-            if touches {
-                s.push_str(&format!("    {} ,\n", describe_sublink(schema, sid)));
-            }
+        for sid in &inv.table_sublinks[t] {
+            s.push_str(&format!("    {} ,\n", sublinks[sid.index()]));
         }
         s.push_str(RULE);
 
         // Column derivations.
         for (ci, col) in table.columns.iter().enumerate() {
-            let ci = ci as u32;
             s.push_str(&format!(
                 "COLUMN {} IN TABLE {}\n    DERIVED FROM\n",
                 col.name, table.name
             ));
             let mut any = false;
-            if let Some(lot) = out.col_sources.get(&(tid.0, ci)) {
+            if let Some(lot) = out.col_sources.get(&(tid.0, ci as u32)) {
                 s.push_str(&format!(
                     "    {} {} ,\n",
                     ot_kind_word(schema.kind_of(*lot)),
@@ -347,45 +466,13 @@ fn backwards(out: &MappingOutput) -> String {
                 ));
                 any = true;
             }
-            for (fid, _) in schema.fact_types() {
-                let uses = match out.realization(fid) {
-                    FactRealization::KeyOf { table: t, cols, .. } => {
-                        *t == tid && cols.contains(&ci)
-                    }
-                    FactRealization::Attribute {
-                        table: t,
-                        value_cols,
-                        ..
-                    } => *t == tid && value_cols.contains(&ci),
-                    FactRealization::OwnTable {
-                        table: t,
-                        left_cols,
-                        right_cols,
-                    } => *t == tid && (left_cols.contains(&ci) || right_cols.contains(&ci)),
-                    FactRealization::Omitted => false,
-                };
-                if uses {
-                    s.push_str(&format!("    {} ,\n", describe_fact(schema, fid)));
-                    any = true;
-                }
+            for fid in &inv.col_facts[t][ci] {
+                s.push_str(&format!("    {} ,\n", facts[fid.index()]));
+                any = true;
             }
-            for (sid, _) in schema.sublinks() {
-                let uses = match &out.sub_memb[sid.index()] {
-                    Some(SubMembership::LinkTable { link_table, .. }) => *link_table == tid,
-                    Some(SubMembership::OwnKeyLinked {
-                        super_table,
-                        is_cols,
-                        ..
-                    }) => *super_table == tid && is_cols.contains(&ci),
-                    Some(SubMembership::Indicator { table, col, .. }) => {
-                        *table == tid && *col == ci
-                    }
-                    _ => false,
-                };
-                if uses {
-                    s.push_str(&format!("    {} ,\n", describe_sublink(schema, sid)));
-                    any = true;
-                }
+            for sid in &inv.col_sublinks[t][ci] {
+                s.push_str(&format!("    {} ,\n", sublinks[sid.index()]));
+                any = true;
             }
             if !any {
                 s.push_str("    (structural)\n");
@@ -395,27 +482,19 @@ fn backwards(out: &MappingOutput) -> String {
     }
 
     // Relational constraints back to binary concepts.
+    let steps = out.trace.steps();
     for rc in &rel.constraints {
         s.push_str(&format!("CONSTRAINT {}\n    DERIVED FROM\n", rc.name));
-        let mut any = false;
-        for (cid, _) in schema.constraints() {
-            if let ConstraintMapping::Relational(names) = &out.constraint_map[cid.index()] {
-                if names.contains(&rc.name) {
-                    s.push_str(&format!("    {}\n", describe_constraint(schema, cid)));
-                    any = true;
-                }
+        if let Some(cids) = inv.constraints.get(rc.name.as_str()) {
+            for &cid in cids {
+                s.push_str(&format!("    {}\n", describe_constraint(schema, cid)));
             }
-        }
-        if !any {
-            // Structural constraints: find the trace step that produced it.
-            for step in out.trace.steps() {
-                if step.lossless_rules.iter().any(|r| r == &rc.name) {
-                    s.push_str(&format!("    {} AT {}\n", step.name, step.site));
-                    any = true;
-                }
+        } else if let Some(found) = inv.steps.get(rc.name.as_str()) {
+            // Structural constraints: the trace steps that produced them.
+            for &i in found {
+                s.push_str(&format!("    {} AT {}\n", steps[i].name, steps[i].site));
             }
-        }
-        if !any {
+        } else {
             s.push_str("    (structural, from the grouping synthesis)\n");
         }
         s.push_str(RULE);

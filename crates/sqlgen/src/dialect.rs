@@ -143,9 +143,11 @@ impl Dialect {
     }
 
     /// Folds an identifier to the dialect's length limit, keeping it
-    /// readable; the renderer uniquifies collisions.
+    /// readable; the renderer uniquifies collisions. Lengths are counted
+    /// in characters, so non-ASCII names fold on character boundaries.
     pub fn fold_identifier(&self, ident: &str) -> String {
-        if ident.len() <= self.max_identifier {
+        let len = ident.chars().count();
+        if len <= self.max_identifier {
             return ident.to_owned();
         }
         // Keep head and tail, which carry the discriminating parts of
@@ -153,7 +155,9 @@ impl Dialect {
         let keep = self.max_identifier;
         let head = keep * 2 / 3;
         let tail = keep - head - 1;
-        format!("{}_{}", &ident[..head], &ident[ident.len() - tail..])
+        let head: String = ident.chars().take(head).collect();
+        let tail: String = ident.chars().skip(len - tail).collect();
+        format!("{head}_{tail}")
     }
 }
 
@@ -200,5 +204,19 @@ mod tests {
         let folded = db2.fold_identifier(long);
         assert!(folded.len() <= 18, "{folded}");
         assert_eq!(db2.fold_identifier("Short"), "Short");
+    }
+
+    #[test]
+    fn non_ascii_identifiers_fold_on_char_boundaries() {
+        let db2 = Dialect::of(DialectKind::Db2);
+        // Twelve two-byte characters: 24 bytes, but within 18 characters.
+        assert_eq!(db2.fold_identifier("ÄÖÜÄÖÜÄÖÜÄÖÜ"), "ÄÖÜÄÖÜÄÖÜÄÖÜ");
+        let folded = db2.fold_identifier("Abcdefghijkü_Übersicht_Straße");
+        assert_eq!(folded, "Abcdefghijkü_traße");
+        assert_eq!(folded.chars().count(), 18);
+        for d in Dialect::all() {
+            let long = "Ä".repeat(3 * d.max_identifier);
+            assert_eq!(d.fold_identifier(&long).chars().count(), d.max_identifier);
+        }
     }
 }
