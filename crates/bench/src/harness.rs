@@ -1,15 +1,16 @@
-//! The shared measurement harness the criterion benches and the macro
-//! driver build on: scenario construction, engine-probed mutation
-//! targets, adaptive wall-clock timing and scratch-directory management.
+//! The shared measurement harness the criterion benches build on:
+//! scenario construction, engine-probed mutation targets, adaptive
+//! wall-clock timing and scratch-directory management.
 //!
 //! Before this module existed every bench carried its own copy of
 //! `build_db`/`pick_target`/`time_op`; the copies drifted (different
 //! budgets, different probe rules) and their setup could not be smoke-
 //! tested. The benches now call these functions, and
 //! `tests/bench_smoke.rs` runs the same setup at tiny scale under
-//! `cargo test`.
+//! `cargo test --workspace`.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ridl_brm::Value;
@@ -71,35 +72,22 @@ pub struct MutationTarget {
     pub assign_val: Option<Value>,
 }
 
-/// Picks one probed mutation target (see [`pick_mutation_targets`]).
+/// Picks one probed mutation target, scanning tables largest-first. A
+/// row qualifies when its table has a primary key and a non-key column,
+/// its key columns are non-null, a PK-duplicate reject row can be
+/// constructed, and the engine demonstrably lets the row be deleted and
+/// re-inserted.
 ///
 /// The probe commits one delete+reinsert pair — **two WAL units** on a
 /// durable database — which replay-count assertions must account for.
 pub fn pick_mutation_target(db: &mut Database) -> MutationTarget {
-    pick_mutation_targets(db, 1)
-        .into_iter()
-        .next()
-        .expect("no suitable benchmark table in the industrial mapping")
-}
-
-/// Picks up to `want` distinct probed mutation targets, scanning tables
-/// largest-first. A row qualifies when its table has a primary key and a
-/// non-key column, its key columns are non-null, a PK-duplicate reject
-/// row can be constructed, and the engine demonstrably lets the row be
-/// deleted and re-inserted (the probe runs both statements, so each
-/// returned target has already committed two statements).
-pub fn pick_mutation_targets(db: &mut Database, want: usize) -> Vec<MutationTarget> {
     let schema = db.schema().clone();
     let mut tables: Vec<(TableId, usize)> = schema
         .tables()
         .map(|(tid, _)| (tid, db.state().rows(tid).len()))
         .collect();
     tables.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
-    let mut out = Vec::new();
     for (tid, n) in tables {
-        if out.len() >= want {
-            break;
-        }
         if n < 2 {
             continue;
         }
@@ -113,9 +101,6 @@ pub fn pick_mutation_targets(db: &mut Database, want: usize) -> Vec<MutationTarg
         };
         let rows: Vec<Row> = db.state().rows(tid).iter().cloned().collect();
         for row in &rows {
-            if out.len() >= want {
-                break;
-            }
             if pk.iter().any(|c| row[*c as usize].is_none()) {
                 continue;
             }
@@ -150,18 +135,18 @@ pub fn pick_mutation_targets(db: &mut Database, want: usize) -> Vec<MutationTarg
             // Probe: deletable (and re-insertable) without violations?
             if db.delete_where(&t.name, &preds) == Ok(1) {
                 db.insert(&t.name, row.clone()).expect("reinsert probe");
-                out.push(MutationTarget {
+                return MutationTarget {
                     table: t.name.clone(),
                     preds,
                     row: row.clone(),
                     reject_row,
                     assign_col: t.column(non_key).name.clone(),
                     assign_val: row[non_key as usize].clone(),
-                });
+                };
             }
         }
     }
-    out
+    panic!("no suitable benchmark table in the industrial mapping")
 }
 
 /// Deletes the target row by primary key and re-inserts it — two
@@ -205,10 +190,14 @@ pub fn time_op_heavy(f: impl FnMut()) -> f64 {
     time_op_with(0.3, 3, 50, f)
 }
 
-/// A fresh scratch directory under the system temp dir, namespaced by
-/// process id and `tag`. Any previous contents are removed.
+/// A fresh scratch directory under the system temp dir, named by `tag`,
+/// the process id and a per-process call counter, so no two calls share
+/// one — not even two with the same tag. Any previous contents (a
+/// leftover of an earlier process with the same id) are removed.
 pub fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ridl-bench-{}-{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ridl-bench-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -219,5 +208,16 @@ pub fn durability(fsync: FsyncPolicy) -> Durability {
     Durability {
         fsync,
         checkpoint_every_bytes: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_dir_is_fresh_per_call_even_for_one_tag() {
+        let (a, b) = (bench_dir("same"), bench_dir("same"));
+        assert_ne!(a, b);
     }
 }

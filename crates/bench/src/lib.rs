@@ -1,22 +1,14 @@
-//! # ridl-bench — the shared benchmark harness and the RIDL-Bench macro
-//! driver
+//! # ridl-bench — the shared harness of the per-figure benches
 //!
 //! The `benches/` directory holds one criterion harness per paper
-//! figure/claim; this library holds everything they share:
+//! figure/claim; [`harness`] holds what they share: scenario
+//! construction, engine-probed mutation targets, adaptive timing loops
+//! and scratch directories (previously copy-pasted into each bench).
 //!
-//! * [`harness`] — scenario construction, engine-probed mutation
-//!   targets, adaptive timing loops and scratch directories (previously
-//!   copy-pasted into each bench);
-//! * [`pipeline`] — [`pipeline::run_macro`]: the end-to-end macro
-//!   benchmark (synthesize → map → populate → load → traffic → crash →
-//!   recover) behind `ridl bench` and the `macro_pipeline` bench;
-//! * [`artifact`] — the schema-versioned `BENCH_<pr>.json` trajectory
-//!   artifact and its validator (`ridl benchcheck`).
+//! The end-to-end benchmark is the `ridlbench/` package (see its
+//! README); it imports [`harness::durability`] from here.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod artifact;
 pub mod harness;
-pub mod pipeline;
-pub mod server_bench;

@@ -7,17 +7,14 @@
 //! bench time, long after the offending change merged. Each test here
 //! exercises the same public entry points the corresponding bench uses —
 //! the three migrated engine benches call the exact shared-harness
-//! functions — so `cargo test -q` catches the rot.
+//! functions — so `cargo test --workspace` catches the rot.
 
 use std::sync::Arc;
 
-use ridl_bench::artifact::validate_artifact;
 use ridl_bench::harness::{
     bench_dir, build_db, build_load_scenario, commit_pair, durability, pick_mutation_target,
 };
-use ridl_bench::pipeline::{run_macro, MacroConfig};
 use ridl_engine::{Database, FsyncPolicy, StdIo, ValidationMode};
-use ridl_workloads::macrobench::MacroParams;
 use ridl_workloads::synth::{self, GenParams};
 
 /// Small synthetic schema parameters shared by the mapper-side smokes.
@@ -88,44 +85,6 @@ fn durable_commit_smoke() {
     assert_eq!(rep.bytes_discarded, 0);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// -- macro_pipeline: one tiny end-to-end run, artifact validates --
-#[test]
-fn macro_pipeline_smoke() {
-    let cfg = MacroConfig {
-        params: MacroParams {
-            seed: 1989,
-            target_rows: 600,
-        },
-        traffic_ops: 60,
-        server_sessions: 24,
-        ..MacroConfig::default()
-    };
-    let art = run_macro(&cfg).expect("macro pipeline runs clean at smoke scale");
-    assert!(art.rows_loaded >= 300);
-    assert!(art.sigex_examples >= 3);
-    assert!(art.per_class.iter().any(|c| c.class == "key"));
-    let server = art
-        .server
-        .as_ref()
-        .expect("v4 artifact carries the server object");
-    assert_eq!(server.anomalies, 0);
-    assert!(server.sessions >= 24, "served {} sessions", server.sessions);
-    assert!(server.admission_rejects > 0, "overload wave never rejected");
-    assert!(server.reads > 0 && server.writes > 0);
-    validate_artifact(&art.to_json()).expect("artifact validates");
-}
-
-// -- server_bench: the many-client phase alone at tiny scale --
-#[test]
-fn server_bench_smoke() {
-    let s = ridl_bench::server_bench::run_server_bench(12).expect("server bench runs clean");
-    assert_eq!(s.anomalies, 0);
-    assert!(s.sessions >= 12);
-    assert!(s.writes >= 12 + 4 * 25, "churn + burst inserts committed");
-    assert!(s.admission_rejects > 0);
-    assert!(s.commit_batch_max >= 1);
 }
 
 // -- fig4_sublink: eliminate one sublink, state round trip --

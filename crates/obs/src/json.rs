@@ -3,10 +3,9 @@
 //!
 //! The workspace deliberately carries no serde, and every JSON reader and
 //! writer goes through here: the server's line-delimited wire protocol,
-//! the `BENCH_<pr>.json` artifact, `ridl status --json`, the journal
-//! JSONL dump and the Chrome trace export. Objects are `BTreeMap`s, so
-//! [`Json`]'s `Display` output is compact and key-sorted — deterministic
-//! byte for byte. Numbers without fraction/exponent parse as `i64` (row
+//! `ridl status --json`, the journal JSONL dump and the Chrome trace
+//! export. Objects are `BTreeMap`s, so [`Json`]'s `Display` output is
+//! compact and key-sorted — deterministic byte for byte. Numbers without fraction/exponent parse as `i64` (row
 //! values are exact); anything else as a finite `f64`.
 //!
 //! The parser is strict where leniency would hide damage or take a

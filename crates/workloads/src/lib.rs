@@ -16,7 +16,7 @@
 //!   the differential test suites;
 //! * [`macrobench`] — the RIDL-Bench end-to-end macro workload: staged
 //!   pipeline builders plus a deterministic mixed-traffic plan, driven by
-//!   `ridl bench` and the `macro_pipeline` criterion bench;
+//!   the `ridlbench/` benchmark and `tests/checkpoint_scaling.rs`;
 //! * [`sigex`] — Proper-style significant examples: verified
 //!   near-violation populations that stress each constraint class at its
 //!   boundary.

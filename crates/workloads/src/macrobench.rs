@@ -1,5 +1,5 @@
-//! RIDL-Bench macro workload: the full-pipeline scenario behind
-//! `ridl bench` and the `macro_pipeline` criterion bench.
+//! RIDL-Bench macro workload: the full-pipeline scenario behind the
+//! `ridlbench/` benchmark's `oltp` and `restart` workloads.
 //!
 //! The micro benches each exercise one subsystem; this module describes
 //! the *end-to-end* run — synthesize an industrial-band BRM schema,
@@ -7,8 +7,8 @@
 //! and drive mixed closed-loop traffic against the loaded engine. The
 //! module itself stays engine-free (so `ridl-workloads` keeps its thin
 //! dependency cone): it produces the schema, the state, and a
-//! deterministic *traffic plan*; the driver in `ridl-bench` translates
-//! plan steps into engine statements and times them.
+//! deterministic *traffic plan*; the benchmark translates plan steps
+//! into engine statements and times them.
 //!
 //! Everything here is deterministic in the seed: equal [`MacroParams`]
 //! give byte-equal schemas, states and traffic plans (the determinism

@@ -31,13 +31,6 @@
 //!                                                stops on the shutdown command
 //! ridl client  <addr> [--hello NAME]             scriptable client: request lines
 //!                                                from stdin, response lines to stdout
-//! ridl bench   [--rows N] [--ops N] [--sessions N] [--seed N] [--pr N] [--out FILE] [--dir DIR]
-//!                                                run the RIDL-Bench macro pipeline,
-//!                                                write the BENCH_<pr>.json artifact
-//! ridl benchcheck <BENCH_x.json>                 validate a bench artifact
-//! ridl benchcheck --scaling <small.json> <large.json>
-//!                                                assert incremental checkpoints
-//!                                                scale with churn, not state
 //!
 //! options:
 //!   --nulls default|not-allowed|not-in-keys|allowed
@@ -225,7 +218,7 @@ fn drive_engine(wb: &Workbench, out: &ridl_core::MappingOutput) {
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = args.split_first().ok_or_else(|| {
-        usage("usage: ridl <check|map|report|trace|profile|fmt|query|recover|status|events|serve|client|bench> <schema.ridl> [options]")
+        usage("usage: ridl <check|map|report|trace|profile|fmt|query|recover|status|events|serve|client> <schema.ridl> [options]")
     })?;
     match cmd.as_str() {
         "check" => {
@@ -592,111 +585,6 @@ fn run() -> Result<(), CliError> {
             eprintln!("-- {} of {} event(s) shown from {path}", shown.len(), total);
             Ok(())
         }
-        "bench" => {
-            let mut cfg = ridl_bench::pipeline::MacroConfig::from_env();
-            let mut out_path: Option<String> = None;
-            let mut it = rest.iter();
-            let next_val = |flag: &str, it: &mut std::slice::Iter<String>| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| usage(&format!("{flag} needs a value")))
-            };
-            let parse_num = |flag: &str, v: String| {
-                v.parse::<u64>()
-                    .map_err(|_| usage(&format!("{flag} needs a number, got {v}")))
-            };
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--rows" => {
-                        cfg.params.target_rows = parse_num(a, next_val(a, &mut it)?)? as usize;
-                    }
-                    "--ops" => cfg.traffic_ops = parse_num(a, next_val(a, &mut it)?)? as usize,
-                    "--sessions" => {
-                        cfg.server_sessions = parse_num(a, next_val(a, &mut it)?)? as usize;
-                    }
-                    "--seed" => cfg.params.seed = parse_num(a, next_val(a, &mut it)?)?,
-                    "--pr" => cfg.pr = parse_num(a, next_val(a, &mut it)?)?,
-                    "--out" => out_path = Some(next_val(a, &mut it)?),
-                    "--dir" => {
-                        cfg.store_dir = Some(std::path::PathBuf::from(next_val(a, &mut it)?));
-                    }
-                    other => return Err(usage(&format!("unknown bench option {other}"))),
-                }
-            }
-            let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", cfg.pr));
-            eprintln!(
-                "-- RIDL-Bench: seed {}, target {} rows, {} traffic ops, {} server sessions",
-                cfg.params.seed, cfg.params.target_rows, cfg.traffic_ops, cfg.server_sessions
-            );
-            let art = ridl_bench::pipeline::run_macro(&cfg)
-                .map_err(|e| CliError::Corrupt(format!("macro benchmark failed: {e}")))?;
-            println!("-- E-MACRO: full pipeline at {} rows", art.rows_loaded);
-            println!(
-                "   {:<24} {:>10} {:>10} {:>12} {:>10}",
-                "phase", "sec", "units", "units/s", "p99(us)"
-            );
-            for p in &art.phases {
-                println!(
-                    "   {:<24} {:>10.4} {:>10} {:>12.0} {:>10.1}",
-                    p.name,
-                    p.seconds,
-                    p.units,
-                    p.per_second,
-                    p.p99_ns.unwrap_or(0) as f64 / 1e3
-                );
-            }
-            println!(
-                "   recovery: {} units / {} ops replayed in {:.2} ms ({:.0} ops/s replay, {} WAL bytes)",
-                art.wal.replay_units,
-                art.wal.replay_ops,
-                art.recovery_seconds * 1e3,
-                art.wal.replay_ops_per_sec,
-                art.wal.bytes
-            );
-            println!(
-                "   sigex: {} verified significant examples ({})",
-                art.sigex_examples,
-                art.sigex_classes.join(", ")
-            );
-            if let Some(c) = &art.checkpoint {
-                println!(
-                    "   checkpoint: full {} bytes / {:.2} ms; delta {} bytes / {:.2} ms \
-                     ({}/{} extents dirty after {} churn row-ops, ratio {:.4})",
-                    c.full_bytes,
-                    c.full_seconds * 1e3,
-                    c.delta_bytes,
-                    c.delta_seconds * 1e3,
-                    c.dirty_extents,
-                    c.total_extents,
-                    c.churn_rows,
-                    c.delta_bytes as f64 / c.full_bytes as f64
-                );
-            }
-            if let Some(s) = &art.server {
-                println!(
-                    "   server: {} sessions (peak {}), {} reads / {} writes at {:.0} ops/s, \
-                     {} admission + {} busy rejects, {} anomalies; read p99 {:.1} us \
-                     (burst {:.1} us), write p99 {:.1} us, commit batch p50 {} max {}",
-                    s.sessions,
-                    s.peak_sessions,
-                    s.reads,
-                    s.writes,
-                    s.ops_per_sec,
-                    s.admission_rejects,
-                    s.busy_rejects,
-                    s.anomalies,
-                    s.read_p99_ns as f64 / 1e3,
-                    s.burst_read_p99_ns as f64 / 1e3,
-                    s.write_p99_ns as f64 / 1e3,
-                    s.commit_batch_p50,
-                    s.commit_batch_max
-                );
-            }
-            art.write(std::path::Path::new(&out_path))
-                .map_err(|e| CliError::Input(format!("writing {out_path}: {e}")))?;
-            println!("-- wrote {out_path}");
-            Ok(())
-        }
         "serve" => {
             let (path, flags) = rest.split_first().ok_or_else(|| {
                 usage("usage: ridl serve <schema.ridl> [--dir STORE] [--addr A] [--max-sessions N]")
@@ -792,42 +680,6 @@ fn run() -> Result<(), CliError> {
                 println!("{r}");
             }
             Ok(())
-        }
-        "benchcheck" => {
-            let read = |path: &str| {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Input(format!("reading {path}: {e}")))?;
-                ridl_bench::artifact::validate_artifact(&text)
-                    .map_err(|e| CliError::Corrupt(format!("{path}: invalid bench artifact: {e}")))
-            };
-            match rest {
-                [flag, small, large] if flag == "--scaling" => {
-                    let (s, l) = (read(small)?, read(large)?);
-                    ridl_bench::artifact::check_checkpoint_scaling(&s, &l).map_err(|e| {
-                        CliError::Corrupt(format!("checkpoint scaling check failed: {e}"))
-                    })?;
-                    // The check passed, so both artifacts carry a checkpoint.
-                    let bytes = |a: &ridl_bench::artifact::BenchArtifact| {
-                        a.checkpoint
-                            .map_or((0, 0), |c| (c.full_bytes, c.delta_bytes))
-                    };
-                    let ((s_full, s_delta), (l_full, l_delta)) = (bytes(&s), bytes(&l));
-                    println!(
-                        "-- checkpoint scaling holds: state {} -> {} rows grew full \
-                         snapshots {s_full} -> {l_full} bytes, deltas {s_delta} -> {l_delta} bytes",
-                        s.rows_loaded, l.rows_loaded,
-                    );
-                    Ok(())
-                }
-                [path] => {
-                    read(path)?;
-                    println!("-- {path}: well-formed bench artifact");
-                    Ok(())
-                }
-                _ => Err(usage(
-                    "usage: ridl benchcheck <BENCH_x.json> | --scaling <small.json> <large.json>",
-                )),
-            }
         }
         other => Err(usage(&format!("unknown command {other}"))),
     }

@@ -42,6 +42,20 @@ fn query_all() -> Json {
     obj([("cmd", Json::str("query")), ("table", Json::str("Paper"))])
 }
 
+fn point_query(key: &str) -> Json {
+    obj([
+        ("cmd", Json::str("query")),
+        ("table", Json::str("Paper")),
+        (
+            "where",
+            Json::Arr(vec![obj([
+                ("col", Json::str("Paper_Id")),
+                ("eq", Json::str(key)),
+            ])]),
+        ),
+    ])
+}
+
 #[test]
 fn protocol_round_trips_the_full_command_set() {
     let server = start(ServerConfig::default());
@@ -194,6 +208,52 @@ fn admission_control_rejects_past_the_session_limit() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     server.shutdown().unwrap();
+
+    // An admission wave: more simultaneous connections than the limit.
+    // Admitted sessions hold their slot until every connection has an
+    // outcome, so at most `LIMIT` get in and each of the others is turned
+    // away with a clean busy line (or, when the server closes first, a
+    // reset).
+    const LIMIT: usize = 8;
+    const WAVE: usize = LIMIT + 8;
+    let server = start(ServerConfig {
+        max_sessions: LIMIT,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr().to_string();
+    let start_line = std::sync::Arc::new(std::sync::Barrier::new(WAVE));
+    let hold = std::sync::Arc::new(std::sync::Barrier::new(WAVE));
+    let wave: Vec<_> = (0..WAVE)
+        .map(|_| {
+            let (addr, start_line, hold) = (addr.clone(), start_line.clone(), hold.clone());
+            std::thread::spawn(move || {
+                start_line.wait();
+                let admitted = match Client::connect(&addr) {
+                    Err(_) => None,
+                    Ok(mut c) => match c.hello("wave") {
+                        Ok(r) if Client::is_ok(&r) => Some(c),
+                        Ok(r) => {
+                            assert_eq!(Client::error_code(&r), Some("busy"), "{r}");
+                            None
+                        }
+                        Err(_) => None,
+                    },
+                };
+                hold.wait();
+                admitted.is_some()
+            })
+        })
+        .collect();
+    let admitted = wave
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .filter(|&a| a)
+        .count();
+    assert!(
+        (1..=LIMIT).contains(&admitted),
+        "{admitted} of {WAVE} wave connections admitted past a limit of {LIMIT}"
+    );
+    server.shutdown().unwrap();
 }
 
 /// Satellite: server-level snapshot isolation. A long open transaction in
@@ -268,7 +328,11 @@ fn reads_see_monotonic_committed_versions_under_write_burst() {
 
 /// Concurrent writers funnel through the commit pipeline: every write is
 /// acknowledged with a unique sequence number and the final state holds
-/// exactly the acknowledged rows.
+/// exactly the acknowledged rows. Even threads keep one session; odd
+/// threads open a short-lived session per write (connect → hello →
+/// insert → point query → disconnect). Every write is then visible to
+/// its own session's read, and on each thread commit sequences increase
+/// and read versions never go back.
 #[test]
 fn concurrent_writers_get_unique_commit_sequences() {
     let server = start(ServerConfig::default());
@@ -280,12 +344,35 @@ fn concurrent_writers_get_unique_commit_sequences() {
         .map(|t| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).unwrap();
-                let mut seqs = Vec::new();
+                let mut long_lived = None;
+                let mut seqs: Vec<i64> = Vec::new();
+                let mut last_version = -1i64;
                 for i in 0..PER_THREAD {
-                    let r = c.request(insert_req(&format!("T{t}-{i}"))).unwrap();
+                    let mut short_lived;
+                    let c = if t % 2 == 0 {
+                        long_lived.get_or_insert_with(|| Client::connect(&addr).unwrap())
+                    } else {
+                        short_lived = Client::connect(&addr).unwrap();
+                        assert!(Client::is_ok(&short_lived.hello("short-lived").unwrap()));
+                        &mut short_lived
+                    };
+                    let key = format!("T{t}-{i}");
+                    let r = c.request(insert_req(&key)).unwrap();
                     assert!(Client::is_ok(&r), "{r}");
-                    seqs.push(r.get("seq").and_then(Json::as_i64).unwrap());
+                    let seq = r.get("seq").and_then(Json::as_i64).unwrap();
+                    assert!(seqs.last() < Some(&seq), "commit seq went backwards");
+                    seqs.push(seq);
+
+                    let r = c.request(point_query(&key)).unwrap();
+                    let rows = r.get("rows").and_then(Json::as_arr).unwrap();
+                    assert_eq!(rows.len(), 1, "read-your-writes missed {key}: {r}");
+                    let version = r.get("version").and_then(Json::as_i64).unwrap();
+                    assert!(
+                        version >= seq,
+                        "read at version {version} before commit {seq}"
+                    );
+                    assert!(version >= last_version, "snapshot version went backwards");
+                    last_version = version;
                 }
                 seqs
             })
