@@ -497,13 +497,10 @@ mod tests {
     fn append_insert(io: &FaultyIo, text: &str) {
         io.append(
             &store_path(&dir(), WAL_FILE),
-            &encode_unit(
-                &[DeltaOp::Insert {
-                    table: TableId(0),
-                    row: vec![Some(Value::str(text))],
-                }],
-                true,
-            ),
+            &encode_unit(&[DeltaOp::Insert {
+                table: TableId(0),
+                row: vec![Some(Value::str(text))],
+            }]),
         )
         .unwrap();
         io.sync(&store_path(&dir(), WAL_FILE)).unwrap();
@@ -571,13 +568,10 @@ mod tests {
         reset_wal(&io, &dir(), 0, 7).unwrap();
         append_insert(&io, "good");
         // A torn append: half a unit past the committed end.
-        let unit = encode_unit(
-            &[DeltaOp::Insert {
-                table: TableId(0),
-                row: vec![Some(Value::str("torn"))],
-            }],
-            true,
-        );
+        let unit = encode_unit(&[DeltaOp::Insert {
+            table: TableId(0),
+            row: vec![Some(Value::str("torn"))],
+        }]);
         io.append(&store_path(&dir(), WAL_FILE), &unit[..unit.len() / 2])
             .unwrap();
         io.poke(&store_path(&dir(), SNAP_TMP_FILE), b"half".to_vec());

@@ -586,13 +586,10 @@ mod tests {
     fn append_insert(io: &FaultyIo, text: &str) {
         io.append(
             &store_path(&dir(), WAL_FILE),
-            &encode_unit(
-                &[DeltaOp::Insert {
-                    table: TableId(0),
-                    row: vec![Some(Value::str(text))],
-                }],
-                true,
-            ),
+            &encode_unit(&[DeltaOp::Insert {
+                table: TableId(0),
+                row: vec![Some(Value::str(text))],
+            }]),
         )
         .unwrap();
         io.sync(&store_path(&dir(), WAL_FILE)).unwrap();

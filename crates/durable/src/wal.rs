@@ -7,13 +7,16 @@
 //! payload:= 0x01 epoch:u64le fingerprint:u64le        (header)
 //!         | 0x02 table:u32le row                      (insert op)
 //!         | 0x03 table:u32le row                      (remove op)
-//!         | 0x04 checked:u8                           (commit marker)
+//!         | 0x04 0x01                                 (commit marker)
 //! row    := ncells:u32le cell*
 //! cell   := 0x00 | 0x01 len:u32le token-bytes
 //! ```
 //!
 //! The **commit marker** is the durability point: recovery replays op
-//! frames only up to the last valid commit marker. [`scan_wal`] is
+//! frames only up to the last valid commit marker. Its second byte is
+//! always written as `1`; a legacy `0` (a unit whose constraint check was
+//! once deferred) decodes as a plain committed unit, and recovery
+//! validates it like any other. [`scan_wal`] is
 //! total — torn, short, or bit-flipped tails never error, they just end
 //! the committed region and are counted as discarded bytes.
 
@@ -122,7 +125,7 @@ pub fn wal_init_bytes(epoch: u64, fingerprint: u64) -> Vec<u8> {
 /// commit marker. Appending this buffer (then fsyncing) is the whole
 /// commit protocol — a crash anywhere inside leaves a tail without a
 /// valid commit marker, which recovery discards.
-pub fn encode_unit(ops: &[DeltaOp], checked: bool) -> Vec<u8> {
+pub fn encode_unit(ops: &[DeltaOp]) -> Vec<u8> {
     let mut out = Vec::new();
     for op in ops {
         let (kind, table, row) = match op {
@@ -134,7 +137,7 @@ pub fn encode_unit(ops: &[DeltaOp], checked: bool) -> Vec<u8> {
         encode_row_bytes(&mut payload, row);
         out.extend_from_slice(&frame(&payload));
     }
-    let payload = vec![KIND_COMMIT, u8::from(checked)];
+    let payload = vec![KIND_COMMIT, 1];
     out.extend_from_slice(&frame(&payload));
     out
 }
@@ -144,9 +147,6 @@ pub fn encode_unit(ops: &[DeltaOp], checked: bool) -> Vec<u8> {
 pub struct CommitUnit {
     /// The row operations, in append order.
     pub ops: Vec<DeltaOp>,
-    /// Whether the unit was constraint-checked when first committed
-    /// (`false` for a deferred `insert_unchecked` outside a transaction).
-    pub checked: bool,
 }
 
 /// The result of scanning a WAL byte buffer.
@@ -217,12 +217,11 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
                 });
             }
             Some(&KIND_COMMIT) => {
-                let Some(&checked) = payload.get(1) else {
+                if payload.len() < 2 {
                     break;
-                };
+                }
                 scan.units.push(CommitUnit {
                     ops: std::mem::take(&mut pending),
-                    checked: checked != 0,
                 });
                 scan.committed_end = pos as u64;
             }
@@ -274,8 +273,8 @@ mod tests {
 
     fn sample_wal() -> Vec<u8> {
         let mut wal = wal_init_bytes(2, 0xFEED);
-        wal.extend_from_slice(&encode_unit(&sample_ops(), true));
-        wal.extend_from_slice(&encode_unit(&[], false));
+        wal.extend_from_slice(&encode_unit(&sample_ops()));
+        wal.extend_from_slice(&encode_unit(&[]));
         wal
     }
 
@@ -291,9 +290,7 @@ mod tests {
         );
         assert_eq!(scan.units.len(), 2);
         assert_eq!(scan.units[0].ops, sample_ops());
-        assert!(scan.units[0].checked);
         assert!(scan.units[1].ops.is_empty());
-        assert!(!scan.units[1].checked);
         assert_eq!(scan.discarded, 0);
         assert_eq!(scan.committed_end, sample_wal().len() as u64);
     }
@@ -319,13 +316,28 @@ mod tests {
     #[test]
     fn ops_without_commit_marker_are_discarded() {
         let mut wal = wal_init_bytes(0, 0);
-        let unit = encode_unit(&sample_ops(), true);
+        let unit = encode_unit(&sample_ops());
         // Drop the trailing commit frame (its length: frame of 2 bytes).
         let commit_len = 8 + 2;
         wal.extend_from_slice(&unit[..unit.len() - commit_len]);
         let scan = scan_wal(&wal);
         assert!(scan.units.is_empty());
         assert_eq!(scan.discarded, (unit.len() - commit_len) as u64);
+    }
+
+    /// The marker byte of new units is always `1`; a legacy `0` marker
+    /// still seals a committed unit with the same ops.
+    #[test]
+    fn legacy_zero_marker_decodes_as_a_committed_unit() {
+        let unit = encode_unit(&sample_ops());
+        assert_eq!(unit[unit.len() - 2..], [KIND_COMMIT, 1]);
+        let commit_len = 8 + 2;
+        let mut wal = wal_init_bytes(0, 0);
+        wal.extend_from_slice(&unit[..unit.len() - commit_len]);
+        wal.extend_from_slice(&frame(&[KIND_COMMIT, 0]));
+        let scan = scan_wal(&wal);
+        assert_eq!(scan.units, vec![CommitUnit { ops: sample_ops() }]);
+        assert_eq!(scan.discarded, 0);
     }
 
     #[test]

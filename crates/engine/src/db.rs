@@ -151,27 +151,6 @@ pub struct Database {
     /// Undo-log positions where each open transaction began.
     pub(crate) txn_marks: Vec<usize>,
     mode: ValidationMode,
-    /// Set while `insert_unchecked` rows await their deferred check; delta
-    /// validation's valid-pre-state precondition is broken until a full
-    /// validation succeeds at an *irrevocable* point — the outermost
-    /// `commit`, a full-falling-back statement outside any transaction
-    /// (both past their WAL append), or `load_state` — so enforcement runs
-    /// full-state meanwhile. A full scan at a revertible point (inside a
-    /// transaction, or before the WAL append succeeds) never discharges
-    /// the flag: the scanned suffix could be rolled back while an
-    /// uncovered unchecked row survives in the state.
-    pub(crate) has_unchecked: bool,
-    /// Undo-log position of the earliest unchecked op still in the log —
-    /// when a rollback reverts past it, the unchecked rows are gone and
-    /// `has_unchecked` resets. `None` while clean, or when unchecked rows
-    /// are no longer covered by the undo log (outside transactions).
-    unchecked_mark: Option<usize>,
-    /// True while at least one unchecked row has already left the undo
-    /// log (committed outside a transaction, or replayed from the WAL).
-    /// Such a row can never be reverted away, so no rollback may clear
-    /// `has_unchecked` while this is set — only a successful full-state
-    /// validation does.
-    pub(crate) unchecked_uncovered: bool,
     /// The most recent statement's enforcement report.
     last_report: Option<EnforcementReport>,
     /// Durability wiring; `None` for a purely in-memory database.
@@ -198,9 +177,6 @@ impl Database {
             undo: Vec::new(),
             txn_marks: Vec::new(),
             mode: ValidationMode::default(),
-            has_unchecked: false,
-            unchecked_mark: None,
-            unchecked_uncovered: false,
             last_report: None,
             wal: None,
             recovery: None,
@@ -281,17 +257,14 @@ impl Database {
     /// stores checkpoint it *before* the swap: a checkpoint failure aborts
     /// with both the memory and the on-disk store still holding the old
     /// state. Always a full base — the dirty-extent set describes the
-    /// *current* state, not this candidate. Open transactions and
-    /// deferred checks are discarded.
+    /// *current* state, not this candidate. Open transactions are
+    /// discarded.
     fn install(&mut self, state: RelState, indexes: ConstraintIndexes) -> Result<(), EngineError> {
         self.wal_checkpoint_of(&state, true)?;
         self.state = state;
         self.indexes = indexes;
         self.undo.clear();
         self.txn_marks.clear();
-        self.has_unchecked = false;
-        self.unchecked_mark = None;
-        self.unchecked_uncovered = false;
         self.debug_check_equivalence();
         Ok(())
     }
@@ -330,10 +303,7 @@ impl Database {
         changed
     }
 
-    /// Replays the undo log down to `mark`, inverting each operation. When
-    /// the reverted suffix contains every pending unchecked op, the
-    /// deferred-check flag resets — incremental validation resumes instead
-    /// of permanently falling back to full-state scans.
+    /// Replays the undo log down to `mark`, inverting each operation.
     fn revert_to(&mut self, mark: usize) {
         let n = self.undo.len().saturating_sub(mark);
         if n > 0 {
@@ -355,15 +325,6 @@ impl Database {
                     self.note_dirty(table, &row);
                     self.state.insert(table, row);
                 }
-            }
-        }
-        if self.unchecked_mark.is_some_and(|w| mark <= w) {
-            self.unchecked_mark = None;
-            // Reverting past the covered watermark only discharges the
-            // deferred check if no unchecked row has already left the
-            // undo log — an uncovered one survives every rollback.
-            if !self.unchecked_uncovered {
-                self.has_unchecked = false;
             }
         }
     }
@@ -397,16 +358,15 @@ impl Database {
             ops: self.undo[mark..].to_vec(),
         }
         .net();
-        // While deferred (unchecked) rows are pending, the delta
-        // validator's valid-pre-state precondition is broken, so a checked
-        // statement falls back to a full scan; a clean full scan also
-        // discharges the deferred check.
+        // Every statement starts from a valid pre-state (the previous
+        // statement was validated, or reverted): the delta validator's
+        // precondition. `FullState` re-scans the whole state as the oracle.
         let (strategy, violations) = match self.mode {
-            ValidationMode::Incremental if !self.has_unchecked => (
+            ValidationMode::Incremental => (
                 "delta",
                 validate_delta(&self.schema, &self.state, &self.indexes, &net),
             ),
-            _ => (
+            ValidationMode::FullState => (
                 "full",
                 parallel::validate_parallel(&self.schema, &self.state),
             ),
@@ -462,22 +422,13 @@ impl Database {
             self.revert_to(mark);
             return Err(EngineError::ConstraintViolation(violations));
         }
-        // A clean full scan discharges the deferred check only at an
-        // *irrevocable* point: outside any transaction, once the WAL
-        // append has succeeded. Inside a transaction (or on a WAL
-        // failure) the validated suffix can still be reverted while an
-        // uncovered unchecked row survives the revert, so discharging
-        // here would let a later checkpoint persist the (possibly
-        // invalid) post-revert state unvalidated.
-        let discharged = strategy == "full" && self.has_unchecked && self.txn_marks.is_empty();
         if self.txn_marks.is_empty() {
             // Outside transactions a clean statement is a commit point:
             // append it to the WAL (with its commit marker) before
             // draining the undo log. A WAL failure reverts the statement
             // — the caller sees an error, and the state never diverges
-            // from what the log can reconstruct. The revert runs with the
-            // deferred-check flags still set (see `discharged` above).
-            if let Err(e) = self.wal_commit(mark, true) {
+            // from what the log can reconstruct.
+            if let Err(e) = self.wal_commit(mark) {
                 ridl_obs::journal::record(
                     ridl_obs::Severity::Error,
                     "stmt.abort",
@@ -498,13 +449,6 @@ impl Database {
                 );
             }
         }
-        if discharged {
-            // The clean full scan covered every deferred row, and the
-            // statement is past its only failure point — irrevocable.
-            self.has_unchecked = false;
-            self.unchecked_mark = None;
-            self.unchecked_uncovered = false;
-        }
         self.debug_check_equivalence();
         if self.txn_marks.is_empty() {
             self.undo.clear();
@@ -523,13 +467,12 @@ impl Database {
 
     /// Debug oracle: a state the delta or the aggregate (load) validator
     /// accepted must also satisfy the full validator, and the indexes must
-    /// equal a fresh build. Compiled out of release builds; skipped while
-    /// unchecked rows make the precondition (valid pre-state) false.
+    /// equal a fresh build. Compiled out of release builds.
     fn debug_check_equivalence(&self) {
         #[cfg(debug_assertions)]
         {
             use ridl_relational::validate;
-            if self.mode == ValidationMode::Incremental && !self.has_unchecked {
+            if self.mode == ValidationMode::Incremental {
                 let full = validate::validate(&self.schema, &self.state);
                 debug_assert!(
                     full.is_empty(),
@@ -558,55 +501,6 @@ impl Database {
             }]));
         }
         self.finish_statement(mark, "insert")
-    }
-
-    /// Inserts without constraint checking (bulk load within transactions;
-    /// `commit` or `load_state` re-validates). The row still enters the
-    /// undo log, so `rollback` undoes it.
-    pub fn insert_unchecked(&mut self, table: &str, row: Row) -> Result<(), EngineError> {
-        self.ensure_writable()?;
-        let tid = self.table_id(table)?;
-        let pos = self.undo.len();
-        if self.apply(DeltaOp::Insert { table: tid, row }) {
-            let was_unchecked = self.has_unchecked;
-            self.has_unchecked = true;
-            if self.txn_marks.is_empty() {
-                // Outside a transaction the row is a commit point like any
-                // other statement, logged as an *unchecked* unit so replay
-                // defers its check too. A WAL failure reverts it.
-                if let Err(e) = self.wal_commit(pos, false) {
-                    self.revert_to(pos);
-                    self.has_unchecked = was_unchecked;
-                    return Err(e);
-                }
-                // The op leaves the undo log immediately: the unchecked row
-                // can no longer be reverted away, so no watermark to track
-                // — and no later rollback may discharge the deferred check.
-                self.undo.clear();
-                self.unchecked_mark = None;
-                self.unchecked_uncovered = true;
-            } else if self.unchecked_mark.is_none() {
-                self.unchecked_mark = Some(pos);
-            }
-        }
-        let m = ridl_obs::metrics();
-        m.statements.inc();
-        m.statements_deferred.inc();
-        self.last_report = Some(EnforcementReport {
-            statement: "insert_unchecked",
-            mode: self.mode,
-            strategy: "deferred",
-            ops: 1,
-            net_ops: 1,
-            violations: 0,
-            reverted: false,
-            key_probes: 0,
-            sel_probes: 0,
-            undo_depth: self.undo.len(),
-            duration_ns: 0,
-            per_kind: Vec::new(),
-        });
-        Ok(())
     }
 
     /// Deletes the rows matching the predicate; returns how many went.
@@ -899,99 +793,42 @@ impl Database {
         self.txn_marks.push(self.undo.len());
     }
 
-    /// Commits the innermost transaction, validating the final state in
-    /// full (the deferred check that makes `insert_unchecked` safe). On
-    /// violation the transaction's changes are rolled back via the undo
-    /// log.
+    /// Commits the innermost transaction. Validates nothing: every
+    /// statement inside it was validated when it ran, on its net delta
+    /// from a valid pre-state. The outermost commit logs the whole
+    /// transaction as one WAL unit (statements inside a transaction touch
+    /// the log only here); a WAL failure reverts the transaction.
     pub fn commit(&mut self) -> Result<(), EngineError> {
         let mark = self.txn_marks.pop().ok_or(EngineError::NoTransaction)?;
-        let m = ridl_obs::metrics();
-        let sw = ridl_obs::Stopwatch::start();
-        let violations = parallel::validate_parallel(&self.schema, &self.state);
-        m.statements.inc();
-        m.statements_full.inc();
-        let report = EnforcementReport {
-            statement: "commit",
-            mode: self.mode,
-            strategy: "full",
-            ops: self.undo.len() - mark,
-            net_ops: self.undo.len() - mark,
-            violations: violations.len(),
-            reverted: !violations.is_empty(),
-            key_probes: 0,
-            sel_probes: 0,
-            undo_depth: self.undo.len(),
-            duration_ns: sw.elapsed_ns(),
-            per_kind: Vec::new(),
-        };
-        self.last_report = Some(report);
-        if violations.is_empty() {
-            if self.txn_marks.is_empty() {
-                // The outermost commit logs the whole transaction as one
-                // WAL unit: statements inside a transaction touch the log
-                // only here, once they are actually durable-committable.
-                //
-                // The deferred-check flags are cleared only once the WAL
-                // append succeeds: the failure path reverts with the flags
-                // intact, and `revert_to` discharges them only when the
-                // reverted suffix covers every unchecked op. An uncovered
-                // unchecked row (its op already drained from the undo log)
-                // keeps forcing full validation, so the post-revert state
-                // — which may no longer satisfy the constraints — cannot
-                // be checkpointed unvalidated.
-                if let Err(e) = self.wal_commit(mark, true) {
-                    ridl_obs::journal::record(
-                        ridl_obs::Severity::Error,
-                        "stmt.abort",
-                        vec![("statement", "commit".into()), ("reason", "wal".into())],
-                    );
-                    self.revert_to(mark);
-                    return Err(e);
-                }
-                if self.wal.is_some() {
-                    ridl_obs::journal::record(
-                        ridl_obs::Severity::Debug,
-                        "stmt.commit",
-                        vec![
-                            ("statement", "commit".into()),
-                            ("ops", (self.undo.len() - mark).into()),
-                        ],
-                    );
-                }
-                self.has_unchecked = false;
-                self.unchecked_mark = None;
-                self.unchecked_uncovered = false;
-                self.undo.clear();
-                self.maybe_auto_checkpoint();
-            }
-            // An inner commit is NOT an irrevocable point: the enclosing
-            // transaction can still roll this suffix back while an
-            // uncovered unchecked row survives the revert, so the
-            // deferred-check flags stay set until the outermost commit.
-            Ok(())
-        } else {
-            // A failed commit reverts the transaction; if that suffix held
-            // every unchecked op, `revert_to` resets the deferred flag.
-            if self.wal.is_some() {
-                ridl_obs::journal::record(
-                    ridl_obs::Severity::Warn,
-                    "stmt.abort",
-                    vec![
-                        ("statement", "commit".into()),
-                        ("ops", (self.undo.len() - mark).into()),
-                        ("violations", violations.len().into()),
-                    ],
-                );
-            }
-            self.revert_to(mark);
-            Err(EngineError::ConstraintViolation(violations))
+        if !self.txn_marks.is_empty() {
+            return Ok(());
         }
+        if let Err(e) = self.wal_commit(mark) {
+            ridl_obs::journal::record(
+                ridl_obs::Severity::Error,
+                "stmt.abort",
+                vec![("statement", "commit".into()), ("reason", "wal".into())],
+            );
+            self.revert_to(mark);
+            return Err(e);
+        }
+        if self.wal.is_some() {
+            ridl_obs::journal::record(
+                ridl_obs::Severity::Debug,
+                "stmt.commit",
+                vec![
+                    ("statement", "commit".into()),
+                    ("ops", (self.undo.len() - mark).into()),
+                ],
+            );
+        }
+        self.undo.clear();
+        self.maybe_auto_checkpoint();
+        Ok(())
     }
 
     /// Rolls back the innermost transaction by replaying its undo-log
-    /// suffix in reverse. O(changes in the transaction). Rolling back the
-    /// suffix containing every pending unchecked op resets the
-    /// deferred-check flag, so incremental validation resumes.
+    /// suffix in reverse. O(changes in the transaction).
     pub fn rollback(&mut self) -> Result<(), EngineError> {
         let mark = self.txn_marks.pop().ok_or(EngineError::NoTransaction)?;
         self.revert_to(mark);
@@ -1298,29 +1135,34 @@ mod tests {
     }
 
     #[test]
-    fn transactions_roll_back_and_defer_checks() {
+    fn transactions_roll_back_and_batches_check_as_a_whole() {
         let mut db = sample_db();
         db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
-        db.begin();
-        // Within the transaction, load the FK target *after* the source.
-        db.insert_unchecked("Program_Paper", vec![v("A2"), v("S2")])
-            .unwrap();
-        db.insert_unchecked("Paper", vec![v("P2"), v("A2")])
-            .unwrap();
-        db.commit().unwrap();
+        // One batch may insert the FK source before its target: the
+        // batch is validated as a whole.
+        db.apply_batch([
+            BatchOp::insert("Program_Paper", vec![v("A2"), v("S2")]),
+            BatchOp::insert("Paper", vec![v("P2"), v("A2")]),
+        ])
+        .unwrap();
         assert_eq!(db.state().num_rows(), 3);
 
+        // Inside a transaction a violating statement is rejected at once;
+        // the transaction stays open and rolls back to its start.
+        let state_before = db.state().clone();
+        let indexes_before = db.indexes().clone();
         db.begin();
-        db.insert_unchecked("Program_Paper", vec![v("A9"), v("S9")])
-            .unwrap();
-        let err = db.commit();
-        assert!(err.is_err());
-        assert_eq!(db.state().num_rows(), 3, "commit rolled back");
-
-        db.begin();
-        db.insert_unchecked("Paper", vec![v("P3"), None]).unwrap();
+        db.insert("Paper", vec![v("P3"), None]).unwrap();
+        let err = db.insert("Program_Paper", vec![v("A9"), v("S9")]);
+        assert!(matches!(err, Err(EngineError::ConstraintViolation(_))));
+        assert_eq!(
+            db.state().num_rows(),
+            4,
+            "only the violating insert reverted"
+        );
         db.rollback().unwrap();
-        assert_eq!(db.state().num_rows(), 3);
+        assert_eq!(db.state(), &state_before);
+        assert_eq!(db.indexes(), &indexes_before);
         assert!(db.commit().is_err()); // no open transaction
     }
 
@@ -1329,9 +1171,9 @@ mod tests {
         let mut db = sample_db();
         db.insert("Paper", vec![v("P1"), None]).unwrap();
         db.begin();
-        db.insert_unchecked("Paper", vec![v("P2"), None]).unwrap();
+        db.insert("Paper", vec![v("P2"), None]).unwrap();
         db.begin();
-        db.insert_unchecked("Paper", vec![v("P3"), None]).unwrap();
+        db.insert("Paper", vec![v("P3"), None]).unwrap();
         // Inner rollback drops only P3.
         db.rollback().unwrap();
         assert_eq!(db.state().num_rows(), 2);
@@ -1470,41 +1312,6 @@ mod tests {
             Database::create(s),
             Err(EngineError::BadSchema(_))
         ));
-    }
-
-    /// S1 regression: rolling back the transaction containing every
-    /// pending unchecked op must reset the deferred-check flag — the next
-    /// statement runs delta validation again instead of full-state.
-    #[test]
-    fn rollback_of_unchecked_ops_resumes_incremental_validation() {
-        let mut db = sample_db();
-        db.insert("Paper", vec![v("P1"), None]).unwrap();
-        db.begin();
-        db.insert_unchecked("Paper", vec![v("P2"), None]).unwrap();
-        // While unchecked ops are pending, checked statements fall back to
-        // full-state validation.
-        db.insert("Paper", vec![v("P4"), None]).unwrap();
-        assert_eq!(db.last_statement_report().unwrap().strategy, "full");
-        db.rollback().unwrap();
-        assert_eq!(db.state().num_rows(), 1);
-        db.insert("Paper", vec![v("P3"), None]).unwrap();
-        let report = db.last_statement_report().unwrap();
-        assert_eq!(report.strategy, "delta", "deferred flag not reset");
-        assert_eq!(report.statement, "insert");
-    }
-
-    /// S1 regression: a failed commit (which reverts the transaction) must
-    /// also discharge the deferred flag it rolled back.
-    #[test]
-    fn failed_commit_resumes_incremental_validation() {
-        let mut db = sample_db();
-        db.insert("Paper", vec![v("P1"), None]).unwrap();
-        db.begin();
-        db.insert_unchecked("Program_Paper", vec![v("A9"), v("S9")])
-            .unwrap();
-        assert!(db.commit().is_err(), "dangling FK must fail the commit");
-        db.insert("Paper", vec![v("P2"), None]).unwrap();
-        assert_eq!(db.last_statement_report().unwrap().strategy, "delta");
     }
 
     /// S2 regression: predicate errors in `delete_where` must surface, not

@@ -10,14 +10,16 @@
 //! * every successful statement outside a transaction, and every
 //!   successful outermost `commit`, appends one WAL unit ending in a
 //!   commit marker, then fsyncs per the configured [`FsyncPolicy`];
-//! * `insert_unchecked` outside a transaction logs an *unchecked* unit,
-//!   so recovery re-defers its constraint check exactly as the live run
-//!   did;
 //! * `bulk_load` / `load_state` checkpoint the incoming state instead of
 //!   logging it row by row;
-//! * recovery loads the newest usable checkpoint, replays the committed
-//!   WAL suffix through the engine's own validation path, discards any
-//!   torn tail, and reports what it did in a [`RecoveryReport`].
+//! * recovery loads the newest usable checkpoint, replays each committed
+//!   WAL unit as one statement through the engine's own validation path,
+//!   discards any torn tail, and reports what it did in a
+//!   [`RecoveryReport`].
+//!
+//! Every unit the engine logs was validated when it ran, so the store
+//! only ever holds constraint-valid states and a checkpoint writes the
+//! state as it is.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -32,7 +34,7 @@ use ridl_durable::{
 };
 use ridl_obs::journal;
 use ridl_obs::Severity;
-use ridl_relational::{parallel, DeltaOp, RelSchema, RelState, Row, TableId};
+use ridl_relational::{DeltaOp, RelSchema, RelState, Row, TableId};
 
 use crate::db::{Database, EngineError};
 
@@ -208,9 +210,9 @@ impl Database {
         }
 
         // Replay the committed WAL suffix through the engine's own
-        // validation path. Checked units re-validate (and must pass — they
-        // passed live); unchecked units re-defer, exactly as the live run
-        // did. A unit that no longer validates stops replay gracefully.
+        // validation path, one statement per unit: each re-validates (and
+        // must pass; it passed live). A unit that no longer validates
+        // stops replay gracefully.
         let units = scan.wal.units;
         let replay_start = Instant::now();
         for unit in &units {
@@ -221,27 +223,21 @@ impl Database {
             for op in &unit.ops {
                 db.apply(op.clone());
             }
-            if unit.checked {
-                match db.finish_statement(mark, "recover.replay") {
-                    Ok(()) => {}
-                    Err(EngineError::ConstraintViolation(_)) => {
-                        report.replay_rejected = true;
-                        journal::record(
-                            Severity::Warn,
-                            "recover.reject",
-                            vec![
-                                ("unit", report.units_replayed.into()),
-                                ("ops", unit.ops.len().into()),
-                            ],
-                        );
-                        continue;
-                    }
-                    Err(e) => return Err(e),
+            match db.finish_statement(mark, "recover.replay") {
+                Ok(()) => {}
+                Err(EngineError::ConstraintViolation(_)) => {
+                    report.replay_rejected = true;
+                    journal::record(
+                        Severity::Warn,
+                        "recover.reject",
+                        vec![
+                            ("unit", report.units_replayed.into()),
+                            ("ops", unit.ops.len().into()),
+                        ],
+                    );
+                    continue;
                 }
-            } else {
-                db.has_unchecked = true;
-                db.unchecked_uncovered = true;
-                db.undo.clear();
+                Err(e) => return Err(e),
             }
             journal::record(
                 Severity::Debug,
@@ -249,7 +245,6 @@ impl Database {
                 vec![
                     ("unit", report.units_replayed.into()),
                     ("ops", unit.ops.len().into()),
-                    ("checked", unit.checked.into()),
                 ],
             );
             report.units_replayed += 1;
@@ -431,9 +426,7 @@ impl Database {
     /// the WAL. Also the recovery path from a poisoned WAL. Refused while
     /// a transaction is open ([`EngineError::CheckpointInTransaction`]) —
     /// a snapshot taken mid-transaction would make uncommitted changes
-    /// durable. While unchecked rows are pending their deferred check,
-    /// the state is fully validated first (checkpoints only ever persist
-    /// constraint-valid states).
+    /// durable.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
         self.checkpoint_inner(false)
     }
@@ -452,14 +445,6 @@ impl Database {
         }
         if !self.txn_marks.is_empty() {
             return Err(EngineError::CheckpointInTransaction);
-        }
-        if self.has_unchecked {
-            let violations = parallel::validate_parallel(&self.schema, &self.state);
-            if !violations.is_empty() {
-                return Err(EngineError::ConstraintViolation(violations));
-            }
-            self.has_unchecked = false;
-            self.unchecked_uncovered = false;
         }
         let state = std::mem::take(&mut self.state);
         let r = self.wal_checkpoint_of(&state, force_full);
@@ -625,7 +610,7 @@ impl Database {
     /// Appends `undo[mark..]` as one committed WAL unit and applies the
     /// fsync policy. No-op for in-memory databases and empty deltas. Any
     /// failure poisons the handle; the caller reverts the statement.
-    pub(crate) fn wal_commit(&mut self, mark: usize, checked: bool) -> Result<(), EngineError> {
+    pub(crate) fn wal_commit(&mut self, mark: usize) -> Result<(), EngineError> {
         let ops = &self.undo[mark..];
         if ops.is_empty() {
             return Ok(());
@@ -637,7 +622,7 @@ impl Database {
             return Err(EngineError::WalPoisoned);
         }
         let m = ridl_obs::metrics();
-        let bytes = encode_unit(ops, checked);
+        let bytes = encode_unit(ops);
         let path = store_path(&w.dir, WAL_FILE);
         let sw = ridl_obs::Stopwatch::start();
         if let Err(e) = w.io.append(&path, &bytes) {
@@ -657,11 +642,7 @@ impl Database {
         journal::record(
             Severity::Debug,
             "wal.append",
-            vec![
-                ("bytes", bytes.len().into()),
-                ("ops", ops.len().into()),
-                ("checked", checked.into()),
-            ],
+            vec![("bytes", bytes.len().into()), ("ops", ops.len().into())],
         );
         w.commits_since_sync += 1;
         let sync_now = match w.config.fsync {
@@ -722,10 +703,9 @@ impl Database {
     }
 
     /// Checkpoints automatically once the WAL outgrows the configured
-    /// threshold. Deferred while a transaction is open or unchecked rows
-    /// are pending (a checkpoint only persists committed, valid states);
-    /// best-effort — a failure leaves the WAL in place and the poison
-    /// flag (if set) surfaces on the next mutation.
+    /// threshold. Deferred while a transaction is open (a checkpoint only
+    /// persists committed states); best-effort — a failure leaves the WAL
+    /// in place and the poison flag (if set) surfaces on the next mutation.
     pub(crate) fn maybe_auto_checkpoint(&mut self) {
         let Some(w) = self.wal.as_ref() else {
             return;
@@ -733,8 +713,7 @@ impl Database {
         let Some(threshold) = w.config.checkpoint_every_bytes else {
             return;
         };
-        if w.wal_len <= threshold || w.poisoned || !self.txn_marks.is_empty() || self.has_unchecked
-        {
+        if w.wal_len <= threshold || w.poisoned || !self.txn_marks.is_empty() {
             return;
         }
         let state = std::mem::take(&mut self.state);
@@ -754,7 +733,7 @@ fn rewrite_wal(
 ) -> Result<u64, EngineError> {
     let mut bytes = wal::wal_init_bytes(w.epoch, w.fingerprint);
     for unit in &units[..replayed] {
-        bytes.extend_from_slice(&encode_unit(&unit.ops, unit.checked));
+        bytes.extend_from_slice(&encode_unit(&unit.ops));
     }
     let tmp = store_path(&w.dir, "wal.tmp");
     let dst = store_path(&w.dir, WAL_FILE);

@@ -33,13 +33,13 @@ pub struct ConstraintCost {
 #[derive(Clone, PartialEq, Debug)]
 pub struct EnforcementReport {
     /// The statement kind (`insert`, `delete_where`, `update_where`,
-    /// `batch`, `bulk_load`, `insert_unchecked`, `commit`).
+    /// `batch`, `bulk_load`, `recover.replay`).
     pub statement: &'static str,
     /// The database's validation mode when the statement ran.
     pub mode: ValidationMode,
     /// The validation strategy that actually ran: `delta` (O(change)
-    /// probes), `full` (whole-state re-validation), `aggregate` (bulk-load
-    /// counter-level checks), or `deferred` (no validation until commit).
+    /// probes), `full` (whole-state re-validation), or `aggregate`
+    /// (bulk-load counter-level checks).
     pub strategy: &'static str,
     /// Row operations the statement recorded.
     pub ops: usize,

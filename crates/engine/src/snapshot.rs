@@ -173,8 +173,7 @@ mod tests {
         db.insert("Paper", vec![v("P1"), None]).unwrap();
         let snap = db.snapshot();
         db.begin();
-        db.insert_unchecked("Paper", vec![v("UNCOMMITTED"), None])
-            .unwrap();
+        db.insert("Paper", vec![v("UNCOMMIT"), None]).unwrap();
         // Snapshot taken before the transaction: frozen pre-state.
         assert_eq!(snap.num_rows(), 1);
         // A fresh snapshot mid-transaction sees the in-progress state

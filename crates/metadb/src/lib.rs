@@ -21,7 +21,7 @@ pub mod serde;
 use std::fmt;
 
 use ridl_brm::{FactType, ObjectType, ObjectTypeKind, Role, Schema, Sublink, Value};
-use ridl_engine::{Database, EngineError, Pred, Query};
+use ridl_engine::{BatchOp, Database, EngineError, Pred, Query};
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table};
 
 /// Errors raised by the meta-database.
@@ -207,77 +207,7 @@ impl MetaDb {
         if self.schema_names().contains(&schema.name) {
             return Err(MetaDbError::Duplicate(schema.name.clone()));
         }
-        let sname = Value::str(schema.name.clone());
-        self.db.begin();
-        let r = self.store_inner(schema, &sname);
-        match r {
-            Ok(()) => {
-                self.db.commit()?;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.db.rollback();
-                Err(e)
-            }
-        }
-    }
-
-    fn store_inner(&mut self, schema: &Schema, sname: &Value) -> Result<(), MetaDbError> {
-        self.db
-            .insert_unchecked("SCHEMA_", vec![Some(sname.clone())])?;
-        for (oid, ot) in schema.object_types() {
-            let (kind, dt) = match ot.kind {
-                ObjectTypeKind::Lot(dt) => ("L", Some(dt)),
-                ObjectTypeKind::Nolot => ("N", None),
-                ObjectTypeKind::LotNolot(dt) => ("H", Some(dt)),
-            };
-            self.db.insert_unchecked(
-                "OBJECT_TYPE",
-                vec![
-                    Some(sname.clone()),
-                    Some(Value::Int(oid.raw() as i64)),
-                    Some(Value::str(ot.name.clone())),
-                    Some(Value::str(kind)),
-                    dt.map(|d| Value::str(d.to_string())),
-                ],
-            )?;
-        }
-        for (fid, ft) in schema.fact_types() {
-            self.db.insert_unchecked(
-                "FACT_TYPE",
-                vec![
-                    Some(sname.clone()),
-                    Some(Value::Int(fid.raw() as i64)),
-                    Some(Value::str(ft.name.clone())),
-                    Some(Value::str(ft.roles[0].name.clone())),
-                    Some(Value::Int(ft.roles[0].player.raw() as i64)),
-                    Some(Value::str(ft.roles[1].name.clone())),
-                    Some(Value::Int(ft.roles[1].player.raw() as i64)),
-                ],
-            )?;
-        }
-        for (sid, sl) in schema.sublinks() {
-            self.db.insert_unchecked(
-                "SUBLINK",
-                vec![
-                    Some(sname.clone()),
-                    Some(Value::Int(sid.raw() as i64)),
-                    Some(Value::Int(sl.sub.raw() as i64)),
-                    Some(Value::Int(sl.sup.raw() as i64)),
-                ],
-            )?;
-        }
-        for (cid, c) in schema.constraints() {
-            self.db.insert_unchecked(
-                "CONSTRAINT_",
-                vec![
-                    Some(sname.clone()),
-                    Some(Value::Int(cid.raw() as i64)),
-                    c.name.clone().map(Value::Str),
-                    Some(Value::str(serde::encode_constraint(&c.kind))),
-                ],
-            )?;
-        }
+        self.db.apply_batch(schema_rows(schema))?;
         Ok(())
     }
 
@@ -373,6 +303,63 @@ impl MetaDb {
     pub fn view(&self, name: &str) -> Result<Vec<Vec<Option<Value>>>, MetaDbError> {
         Ok(self.db.select_view(name)?)
     }
+}
+
+/// The dictionary rows describing `schema`, as one batch: the engine
+/// checks the group once, as a whole.
+fn schema_rows(schema: &Schema) -> Vec<BatchOp> {
+    let s = || Some(Value::str(schema.name.clone()));
+    let int = |n: u32| Some(Value::Int(i64::from(n)));
+    let mut ops = vec![BatchOp::insert("SCHEMA_", vec![s()])];
+    for (oid, ot) in schema.object_types() {
+        let (kind, dt) = match ot.kind {
+            ObjectTypeKind::Lot(dt) => ("L", Some(dt)),
+            ObjectTypeKind::Nolot => ("N", None),
+            ObjectTypeKind::LotNolot(dt) => ("H", Some(dt)),
+        };
+        ops.push(BatchOp::insert(
+            "OBJECT_TYPE",
+            vec![
+                s(),
+                int(oid.raw()),
+                Some(Value::str(ot.name.clone())),
+                Some(Value::str(kind)),
+                dt.map(|d| Value::str(d.to_string())),
+            ],
+        ));
+    }
+    for (fid, ft) in schema.fact_types() {
+        ops.push(BatchOp::insert(
+            "FACT_TYPE",
+            vec![
+                s(),
+                int(fid.raw()),
+                Some(Value::str(ft.name.clone())),
+                Some(Value::str(ft.roles[0].name.clone())),
+                int(ft.roles[0].player.raw()),
+                Some(Value::str(ft.roles[1].name.clone())),
+                int(ft.roles[1].player.raw()),
+            ],
+        ));
+    }
+    for (sid, sl) in schema.sublinks() {
+        ops.push(BatchOp::insert(
+            "SUBLINK",
+            vec![s(), int(sid.raw()), int(sl.sub.raw()), int(sl.sup.raw())],
+        ));
+    }
+    for (cid, c) in schema.constraints() {
+        ops.push(BatchOp::insert(
+            "CONSTRAINT_",
+            vec![
+                s(),
+                int(cid.raw()),
+                c.name.clone().map(Value::Str),
+                Some(Value::str(serde::encode_constraint(&c.kind))),
+            ],
+        ));
+    }
+    ops
 }
 
 fn as_str(v: &Option<Value>) -> Result<String, MetaDbError> {

@@ -260,7 +260,6 @@ enforcement_counters! {
     statements => "engine.statements",
     statements_delta => "engine.statements.delta",
     statements_full => "engine.statements.full",
-    statements_deferred => "engine.statements.deferred",
     statements_aggregate => "engine.statements.aggregate",
     reverts => "engine.reverts",
     reverted_ops => "engine.reverted_ops",

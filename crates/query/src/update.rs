@@ -9,16 +9,16 @@
 //!
 //! An `ADD` names the instance by its reference path(s) and assigns values
 //! to (single-step) fact paths; the compiler places every value into the
-//! relation(s) the mapping chose and executes the inserts/updates inside
-//! one engine transaction, so the generated constraints judge the whole
-//! conceptual update atomically — exactly the discipline the paper wants
-//! application programs to follow.
+//! relation(s) the mapping chose and executes the inserts as one engine
+//! batch, so the generated constraints judge the whole conceptual update
+//! atomically — exactly the discipline the paper wants application
+//! programs to follow.
 
 use std::collections::HashMap;
 
 use ridl_brm::{ObjectTypeId, Value};
 use ridl_core::{FactRealization, MappingOutput, SubMembership};
-use ridl_engine::{Database, Pred};
+use ridl_engine::{BatchOp, Database, EngineError, Pred};
 use ridl_relational::TableId;
 
 use crate::ast::PathStep;
@@ -166,8 +166,8 @@ fn place(
 }
 
 /// Applies a conceptual ADD: assembles one row per touched relation and
-/// inserts (or completes) them inside a transaction. Returns the touched
-/// table names.
+/// inserts them as one batch, which the engine checks as a whole. Rows
+/// already present are left out. Returns the touched table names.
 pub fn apply_add(
     out: &MappingOutput,
     db: &mut Database,
@@ -204,8 +204,8 @@ pub fn apply_add(
         }
     }
 
-    db.begin();
     let mut touched = Vec::new();
+    let mut batch = Vec::new();
     for (table, assigns) in &cells {
         let t = out.rel.table(*table);
         let mut row = vec![None; t.arity()];
@@ -213,18 +213,22 @@ pub fn apply_add(
             row[*col as usize] = Some(v.clone());
         }
         touched.push(t.name.clone());
-        db.insert_unchecked(&t.name, row)
-            .map_err(|e| CompileError::Unsupported(format!("insert failed: {e}")))?;
+        if !db.state().rows(*table).contains(&row) {
+            batch.push(BatchOp::insert(t.name.clone(), row));
+        }
     }
-    db.commit().map_err(|e| {
-        CompileError::Unsupported(format!("conceptual ADD violates the schema: {e}"))
+    db.apply_batch(batch).map_err(|e| match e {
+        EngineError::ConstraintViolation(_) => {
+            CompileError::Unsupported(format!("conceptual ADD violates the schema: {e}"))
+        }
+        _ => CompileError::Unsupported(format!("insert failed: {e}")),
     })?;
     touched.sort();
     Ok(touched)
 }
 
 /// Applies a conceptual REMOVE: deletes the instance's rows from every
-/// relation keyed by its identification, inside a transaction.
+/// relation keyed by its identification, as one statement.
 pub fn apply_remove(
     out: &MappingOutput,
     db: &mut Database,
@@ -249,20 +253,6 @@ pub fn apply_remove(
             value.clone(),
         ));
     }
-    db.begin();
-    let n = db
-        .delete_where(&out.rel.table(anchor.table).name, &preds)
-        .map_err(|e| CompileError::Unsupported(format!("delete failed: {e}")));
-    match n {
-        Ok(n) => {
-            db.commit().map_err(|e| {
-                CompileError::Unsupported(format!("conceptual REMOVE violates the schema: {e}"))
-            })?;
-            Ok(n)
-        }
-        Err(e) => {
-            let _ = db.rollback();
-            Err(e)
-        }
-    }
+    db.delete_where(&out.rel.table(anchor.table).name, &preds)
+        .map_err(|e| CompileError::Unsupported(format!("delete failed: {e}")))
 }

@@ -19,9 +19,8 @@
 //! (`tests/parallel_validator.rs` asserts this differentially on seeded
 //! and deliberately corrupted populations).
 //!
-//! The engine uses this for its O(state) validations — `commit`, a
-//! checkpoint with deferred checks pending, and the `FullState` oracle
-//! mode — where the constraint count of an industrial mapping (hundreds
+//! The engine uses this for its one O(state) validation, the `FullState`
+//! oracle mode, where the constraint count of an industrial mapping (hundreds
 //! of constraints over 120–150 tables) gives the scheduler real work to
 //! spread. Whole-state installs (`load_state`, `bulk_load`, recovery)
 //! instead check in aggregate against the indexes they build anyway

@@ -17,7 +17,8 @@
 //! * **Admission control** ([`server`]) — bounded sessions, bounded
 //!   per-session in-flight requests, bounded commit queue; each limit
 //!   rejects with an explicit `busy` error rather than queueing
-//!   unboundedly.
+//!   unboundedly. Request lines and buffered transactions are capped too
+//!   ([`MAX_LINE_BYTES`], [`MAX_TXN_OPS`]), answered with `proto`.
 //!
 //! See DESIGN.md §13 for the protocol grammar and the pipeline
 //! invariants.
@@ -33,4 +34,4 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use pipeline::Committed;
 pub use ridl_obs::json;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_LINE_BYTES, MAX_TXN_OPS};

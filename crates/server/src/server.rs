@@ -14,7 +14,7 @@
 //! counter — the bench asserts on both).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -31,6 +31,16 @@ use crate::proto::{
     encode_rows, engine_err_response, err_response, ok_response, parse_request, ErrorCode, Request,
     WriteOp,
 };
+
+/// Longest request line, newline included, a session reads. A longer
+/// line is answered with a `proto` error and the connection is closed, so
+/// a client cannot grow the reader's buffer without limit.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most write ops one server-side transaction buffers before `commit`. An
+/// op past it is answered with a `proto` error and not buffered; the
+/// transaction stays open.
+pub const MAX_TXN_OPS: usize = 4096;
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -339,20 +349,37 @@ fn session_threads(sid: u64, stream: TcpStream, inner: &Arc<Inner>) {
 }
 
 /// Parses request lines and feeds the worker, answering `busy` itself
-/// when the in-flight window is full and `proto` on parse errors.
+/// when the in-flight window is full and `proto` on parse errors, on
+/// lines that are not UTF-8, and (closing the connection) on a line
+/// longer than [`MAX_LINE_BYTES`].
 fn read_loop(
     stream: TcpStream,
     tx: &mpsc::SyncSender<(i64, Request)>,
     writer: &Arc<Mutex<TcpStream>>,
 ) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return,
+            Ok(n) if n > MAX_LINE_BYTES => {
+                ridl_obs::metrics().server_proto_errors.inc();
+                let detail = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let _ = write_line(writer, &err_response(0, ErrorCode::Proto, &detail));
+                return;
+            }
             Ok(_) => {}
         }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            ridl_obs::metrics().server_proto_errors.inc();
+            let resp = err_response(0, ErrorCode::Proto, "request line is not UTF-8");
+            if write_line(writer, &resp).is_err() {
+                return;
+            }
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -475,6 +502,11 @@ impl Session {
             Request::Write(op) => {
                 ridl_obs::metrics().server_writes.inc();
                 if let Some(buf) = self.txn.as_mut() {
+                    if buf.len() >= MAX_TXN_OPS {
+                        ridl_obs::metrics().server_proto_errors.inc();
+                        let detail = format!("transaction holds {MAX_TXN_OPS} ops already");
+                        return err_response(id, ErrorCode::Proto, &detail);
+                    }
                     buf.push(op);
                     return ok_response(id, [("buffered", Json::Bool(true))]);
                 }

@@ -10,7 +10,7 @@
 use ridl_brm::Value;
 use ridl_core::state_map::{equivalent, map_population, unmap_state};
 use ridl_core::{MappingOptions, Workbench};
-use ridl_engine::{Database, Pred};
+use ridl_engine::{BatchOp, Database, Pred, Query};
 use ridl_workloads::fig6;
 
 fn main() {
@@ -46,25 +46,32 @@ fn main() {
         .unwrap_err();
     println!("\nillegal update rejected:\n  {err}");
 
-    // A legal update pair, transactionally: put paper P3 on the program.
-    db.begin();
-    db.insert_unchecked(
-        "Program_Paper",
-        vec![
-            Some(Value::str("A9")),
-            Some(Value::Int(3)),
-            Some(Value::str("Meersman")),
-        ],
-    )
-    .unwrap();
-    db.update_where(
-        "Paper",
-        &[Pred::Eq("Paper_Id".into(), Value::str("P3"))],
-        &[("Paper_ProgramId_Is", Some(Value::str("A9")))],
-    )
+    // The legal update, as one batch the engine checks as a whole: put
+    // paper P3 on the program, together with its Program_Paper row.
+    let paper = db.schema().table_by_name("Paper").unwrap();
+    let col = db
+        .schema()
+        .table(paper)
+        .column_by_name("Paper_ProgramId_Is")
+        .unwrap() as usize;
+    let p3 = Query::from("Paper").filter(Pred::Eq("Paper_Id".into(), Value::str("P3")));
+    let old = db.select(&p3).unwrap().remove(0);
+    let mut new = old.clone();
+    new[col] = Some(Value::str("A9"));
+    db.apply_batch([
+        BatchOp::delete("Paper", old),
+        BatchOp::insert("Paper", new),
+        BatchOp::insert(
+            "Program_Paper",
+            vec![
+                Some(Value::str("A9")),
+                Some(Value::Int(3)),
+                Some(Value::str("Meersman")),
+            ],
+        ),
+    ])
     .unwrap_or_else(|e| panic!("{e}"));
-    db.commit().unwrap();
-    println!("legal transactional update committed");
+    println!("legal update committed as one batch");
 
     // g⁻¹: the final state maps back to a conceptual population.
     let back = unmap_state(&out.schema, &out, db.state()).unwrap();

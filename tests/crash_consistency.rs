@@ -1,8 +1,8 @@
 //! Experiment **E-CRASH**: the crash-consistency property of the
 //! durability subsystem.
 //!
-//! A random workload (constraint-checked batches, transactions, deferred
-//! unchecked inserts, checkpoints, flushes) runs over the fault-injecting
+//! A random workload (constraint-checked batches, transactions, delete
+//! and re-insert pairs, checkpoints, flushes) runs over the fault-injecting
 //! in-memory filesystem twice: a dry run counts every syscall the
 //! workload performs, then a fault run injects one fault — short write,
 //! I/O error, or crash — at a syscall index chosen by the property, the
@@ -292,11 +292,9 @@ fn drive(
                     };
                 }
             }
-            // Delete a live row, then put it back with the deferred-check
-            // path: exercises the *unchecked* WAL unit kind, whose replay
-            // must re-defer the check. The reinserted row restores a
-            // previously-valid state, so the store never holds an invalid
-            // one.
+            // Delete a live row as a batch, then put it back with a
+            // checked insert: two units, the second restoring the state
+            // before the first.
             4 => {
                 let Some((tname, row)) = random_live_row(&shadow, &mut rng) else {
                     continue;
@@ -313,12 +311,7 @@ fn drive(
                     Some(false) => continue, // the row is load-bearing
                     Some(true) => {}
                 }
-                if mirrored!(
-                    shadow.insert_unchecked(&tname, row.clone()),
-                    db.insert_unchecked(&tname, row)
-                )
-                .is_none()
-                {
+                if mirrored!(shadow.insert(&tname, row.clone()), db.insert(&tname, row)).is_none() {
                     return Exec {
                         base_ops,
                         committed,

@@ -8,12 +8,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ridl_brm::{DataType, Value};
+use ridl_durable::crc::crc32;
 use ridl_durable::store::{store_path, SNAP_FILE, SNAP_PREV_FILE, SNAP_TMP_FILE, WAL_FILE};
 use ridl_durable::{
-    delta_file, CheckpointKind, Durability, DurableIo, FaultKind, FaultPlan, FaultyIo, FsyncPolicy,
+    delta_file, encode_unit, CheckpointKind, Durability, DurableIo, FaultKind, FaultPlan, FaultyIo,
+    FsyncPolicy,
 };
 use ridl_engine::{Database, EngineError};
-use ridl_relational::{validate, Column, RelConstraintKind, RelSchema, Table};
+use ridl_relational::{
+    validate, Column, DeltaOp, RelConstraintKind, RelSchema, Row, Table, TableId,
+};
 
 fn v(s: &str) -> Option<Value> {
     Some(Value::str(s))
@@ -157,22 +161,58 @@ fn transactions_log_one_unit_at_outermost_commit() {
     assert_eq!(db2.recovery_report().unwrap().units_replayed, 1);
 }
 
+/// Appends a hand-encoded unit whose commit marker carries the legacy
+/// `0` byte (written once for units whose constraint check was deferred).
+fn append_legacy_unit(io: &FaultyIo, ops: &[DeltaOp]) {
+    let mut unit = encode_unit(ops);
+    unit.truncate(unit.len() - 10); // the commit frame: 8 header + 2 payload
+    let marker = [0x04, 0x00];
+    unit.extend_from_slice(&(marker.len() as u32).to_le_bytes());
+    unit.extend_from_slice(&crc32(&marker).to_le_bytes());
+    unit.extend_from_slice(&marker);
+    let wal = store_path(&dir(), WAL_FILE);
+    io.append(&wal, &unit).unwrap();
+    io.sync(&wal).unwrap();
+}
+
+/// A legacy unchecked unit replays through the same validation as any
+/// other unit: a valid one replays; an invalid one stops replay there,
+/// keeping the earlier units and rewriting the log to them.
 #[test]
-fn unchecked_units_redefer_their_check_on_replay() {
+fn legacy_unchecked_units_replay_through_validation() {
     let io = Arc::new(FaultyIo::new());
     let mut db = open(&io, always());
     db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
-    // An unchecked row outside a transaction: durable, check deferred.
-    db.insert_unchecked("Program_Paper", vec![v("A1"), v("S1")])
-        .unwrap();
+    drop(db);
+    let insert = |table: u32, row: Row| DeltaOp::Insert {
+        table: TableId(table),
+        row,
+    };
+    append_legacy_unit(&io, &[insert(0, vec![v("P2"), None])]);
+    let db = open(&io, always());
+    let r = db.recovery_report().unwrap();
+    assert_eq!((r.units_replayed, r.replay_rejected), (2, false));
+    assert_eq!(db.state().num_rows(), 2);
     let want = db.state().clone();
     drop(db);
-    let mut db2 = open(&io, always());
-    assert_eq!(db2.state(), &want);
-    // The deferred check is still pending after recovery: the next
-    // checked statement runs full-state validation.
-    db2.insert("Paper", vec![v("P2"), None]).unwrap();
-    assert_eq!(db2.last_statement_report().unwrap().strategy, "full");
+
+    // A dangling FK, then a valid unit that replay must not reach.
+    append_legacy_unit(&io, &[insert(1, vec![v("A9"), v("S9")])]);
+    append_legacy_unit(&io, &[insert(0, vec![v("P3"), None])]);
+    let db = open(&io, always());
+    let r = db.recovery_report().unwrap();
+    assert!(r.replay_rejected);
+    assert_eq!(r.units_replayed, 2);
+    assert_eq!(db.state(), &want);
+    drop(db);
+    let db = open(&io, always());
+    let r = db.recovery_report().unwrap();
+    assert!(
+        !r.replay_rejected,
+        "the log was rewritten to the kept units"
+    );
+    assert_eq!((r.units_replayed, r.bytes_discarded), (2, 0));
+    assert_eq!(db.state(), &want);
 }
 
 #[test]
@@ -273,71 +313,68 @@ fn wal_failure_reverts_statement_and_poisons_until_checkpoint() {
     assert_eq!(db2.state(), &want);
 }
 
-/// A WAL failure must not discharge the deferred-check flags: the revert
-/// restores the rows of the failed statement, but an *uncovered* unchecked
-/// row (its op long drained from the undo log) stays in the state — so the
-/// post-revert state can be constraint-invalid and the poison-recovery
-/// checkpoint must re-validate it, never persist it blindly.
+/// When the outermost commit's WAL append fails, the transaction is
+/// reverted and closed, the handle is poisoned, and the repairing
+/// checkpoint persists the pre-transaction state.
 #[test]
-fn wal_failure_preserves_the_deferred_check_flags() {
+fn commit_wal_failure_reverts_the_transaction() {
     let io = Arc::new(FaultyIo::new());
     let mut db = open(&io, always());
     db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
-    // Uncovered unchecked row: dangling FK, check deferred, undo drained.
-    db.insert_unchecked("Program_Paper", vec![v("A9"), v("S9")])
-        .unwrap();
-    // This insert repairs the FK, so the discharging full scan passes —
-    // but its WAL append fails and the revert re-breaks the FK.
-    io.set_plan(Some(FaultPlan {
-        at_op: io.op_count(),
-        kind: FaultKind::IoError,
-    }));
-    let err = db.insert("Paper", vec![v("P9"), v("A9")]);
-    assert!(matches!(err, Err(EngineError::Io(_))), "{err:?}");
-    assert!(
-        !validate(db.schema(), db.state()).is_empty(),
-        "post-revert state is FK-invalid again"
-    );
-    // The checkpoint re-runs full validation and refuses the state; the
-    // invalid snapshot never reaches disk.
-    let err = db.checkpoint();
-    assert!(
-        matches!(err, Err(EngineError::ConstraintViolation(_))),
-        "{err:?}"
-    );
-    assert!(
-        io.peek(&store_path(&dir(), SNAP_FILE)).is_none(),
-        "no snapshot of the invalid state was written"
-    );
-}
-
-/// The same flag-preservation property through the transaction path: the
-/// outermost `commit`'s full scan passes, its WAL append fails, and the
-/// reverted (invalid) state must still carry the deferred-check flags.
-#[test]
-fn commit_wal_failure_preserves_the_deferred_check_flags() {
-    let io = Arc::new(FaultyIo::new());
-    let mut db = open(&io, always());
-    db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
-    db.insert_unchecked("Program_Paper", vec![v("A9"), v("S9")])
-        .unwrap();
+    let want = db.state().clone();
     db.begin();
     db.insert("Paper", vec![v("P9"), v("A9")]).unwrap();
+    db.insert("Program_Paper", vec![v("A9"), v("S9")]).unwrap();
     io.set_plan(Some(FaultPlan {
         at_op: io.op_count(),
         kind: FaultKind::IoError,
     }));
     let err = db.commit();
     assert!(matches!(err, Err(EngineError::Io(_))), "{err:?}");
-    assert!(
-        !validate(db.schema(), db.state()).is_empty(),
-        "post-revert state is FK-invalid again"
-    );
-    let err = db.checkpoint();
-    assert!(
-        matches!(err, Err(EngineError::ConstraintViolation(_))),
-        "{err:?}"
-    );
+    assert_eq!(db.state(), &want, "transaction reverted");
+    assert!(matches!(db.rollback(), Err(EngineError::NoTransaction)));
+    let err = db.insert("Paper", vec![v("P2"), None]);
+    assert!(matches!(err, Err(EngineError::WalPoisoned)), "{err:?}");
+    db.checkpoint().unwrap();
+    drop(db);
+    let db2 = open(&io, always());
+    assert_eq!(db2.state(), &want);
+}
+
+/// A conceptual ADD that fails on a poisoned store leaves no transaction
+/// open, so the repairing checkpoint is allowed and writes resume.
+#[test]
+fn failed_conceptual_add_leaves_no_transaction_open() {
+    use ridl_core::state_map::map_population;
+    use ridl_core::{MappingOptions, Workbench};
+    use ridl_query::{apply_add, parse_add};
+    use ridl_workloads::fig6;
+
+    let out = Workbench::new(fig6::schema())
+        .map(&MappingOptions::new())
+        .unwrap();
+    let io = Arc::new(FaultyIo::new());
+    let mut db = Database::open_with(io.clone(), dir(), out.rel.clone(), always()).unwrap();
+    let pop = fig6::population(&out.schema);
+    db.load_state(map_population(&out.schema, &out, &pop).unwrap())
+        .unwrap();
+    let add = |key: &str| {
+        parse_add(&format!(
+            "ADD Paper ( identified_by = '{key}' , titled = 'T' , submitted_at = DATE 1 );"
+        ))
+        .unwrap()
+    };
+    // The first ADD's WAL append fails and poisons the store; the next
+    // ADD is refused before it touches anything.
+    io.set_plan(Some(FaultPlan {
+        at_op: io.op_count(),
+        kind: FaultKind::IoError,
+    }));
+    assert!(apply_add(&out, &mut db, &add("P8")).is_err());
+    assert!(apply_add(&out, &mut db, &add("P9")).is_err());
+    assert!(matches!(db.rollback(), Err(EngineError::NoTransaction)));
+    db.checkpoint().unwrap();
+    assert_eq!(apply_add(&out, &mut db, &add("P9")).unwrap(), ["Paper"]);
 }
 
 /// When the commit's append lands whole but the fsync fails, the engine

@@ -6,9 +6,12 @@
 //! snapshot diffs serialises on one lock and uses `>=`
 //! where other test threads could add to a counter concurrently.
 
-use std::sync::{Mutex, OnceLock};
+use std::path::Path;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ridl_brm::{DataType, Value};
+use ridl_durable::store::{store_path, WAL_FILE};
+use ridl_durable::{scan_wal, Durability, FaultyIo};
 use ridl_engine::{BatchOp, Database, EnforcementReport, Pred, Query, ValidationMode};
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table, TableId};
 
@@ -141,17 +144,50 @@ fn bulk_load_reports_aggregate_strategy() {
     assert!(r.violations >= 1);
 }
 
+/// `commit` validates nothing: each statement of the transaction was
+/// checked when it ran (a violating one is rejected at once, leaving the
+/// earlier ones in place), and the outermost commit only logs the
+/// transaction as one WAL unit.
 #[test]
-fn deferred_inserts_and_commit_report() {
+fn commit_validates_nothing_and_logs_one_unit() {
     let _guard = obs_lock().lock().unwrap();
-    let mut db = sample_db();
+    let io = Arc::new(FaultyIo::new());
+    let mut db = Database::open_with(
+        io.clone(),
+        "/db",
+        sample_db().schema().clone(),
+        Durability::default(),
+    )
+    .unwrap();
+    let wal_units = || {
+        let bytes = io.peek(&store_path(Path::new("/db"), WAL_FILE)).unwrap();
+        scan_wal(&bytes).units.len()
+    };
+    db.insert("Paper", vec![v("P0"), v("A0")]).unwrap();
+    let units_before = wal_units();
+
     db.begin();
-    db.insert_unchecked("Paper", vec![v("P1"), None]).unwrap();
-    assert_eq!(db.last_statement_report().unwrap().strategy, "deferred");
-    db.commit().unwrap();
+    db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
+    db.delete_where("Paper", &[Pred::Eq("Paper_Id".into(), Value::str("P0"))])
+        .unwrap();
+    let err = db.insert("Program_Paper", vec![v("A9"), v("S9")]);
+    assert!(err.is_err(), "dangling FK accepted inside a transaction");
     let r = db.last_statement_report().unwrap();
-    assert_eq!(r.statement, "commit");
-    assert_eq!(r.strategy, "full");
+    assert_eq!((r.statement, r.strategy), ("insert", "delta"));
+    assert!(r.reverted);
+    assert_eq!(
+        db.state().rows(TableId(0)).iter().collect::<Vec<_>>(),
+        [&vec![v("P1"), v("A1")]],
+        "the earlier statements stay in place"
+    );
+    assert_eq!(wal_units(), units_before, "nothing logged mid-transaction");
+
+    let before = ridl_obs::snapshot();
+    db.commit().unwrap();
+    let diff = ridl_obs::snapshot().since(&before);
+    assert_eq!(diff.counter("engine.statements.full"), 0);
+    assert_eq!(diff.counter("engine.statements"), 0);
+    assert_eq!(wal_units(), units_before + 1, "one unit per transaction");
 }
 
 #[test]

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use ridl_brm::{DataType, Value};
 use ridl_core::state_map::map_population;
 use ridl_core::{MappingOptions, Workbench};
-use ridl_engine::{Database, Pred, ValidationMode};
+use ridl_engine::{BatchOp, Database, Pred, ValidationMode};
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Row, Table};
 use ridl_workloads::cris;
 
@@ -270,29 +270,45 @@ proptest! {
     }
 }
 
-/// Transactions on the CRIS database: bulk unchecked loads validate at
-/// commit, and a failed commit unwinds through the undo log.
+/// Transactions on the CRIS database: every statement is checked when it
+/// runs, inside a transaction too, and rollback and commit go through the
+/// undo log.
 #[test]
 fn cris_transaction_commit_and_undo() {
     let mut db = cris_db();
     let state_before = db.state().clone();
     let indexes_before = db.indexes().clone();
-    // A transaction whose commit must fail: an all-NULL row in a table
-    // with a NOT NULL column slips past `insert_unchecked` but not the
-    // commit-time full validation.
+    // A populated table with a NOT NULL column: an all-NULL row must fail
+    // there, and deleting a row and putting it back must pass.
     let (tid, tname, arity) = db
         .schema()
         .tables()
-        .find(|(_, t)| t.columns.iter().any(|c| !c.nullable))
+        .find(|(tid, t)| t.columns.iter().any(|c| !c.nullable) && !db.state().rows(*tid).is_empty())
         .map(|(tid, t)| (tid, t.name.clone(), t.arity()))
-        .expect("CRIS mapping produces NOT NULL columns");
+        .expect("CRIS mapping produces populated NOT NULL columns");
+    let row = db.state().rows(tid).iter().next().unwrap().clone();
+    let round_trip = [
+        BatchOp::delete(tname.clone(), row.clone()),
+        BatchOp::insert(tname.clone(), row),
+    ];
+
     db.begin();
+    db.apply_batch(round_trip.clone()).unwrap();
     let n = db.state().rows(tid).len();
-    db.insert_unchecked(&tname, vec![None; arity])
-        .unwrap_or_else(|e| panic!("unchecked insert into {tname}: {e}"));
-    assert_eq!(db.state().rows(tid).len(), n + 1, "unchecked row landed");
-    let err = db.commit();
-    assert!(err.is_err(), "all-NULL row must fail NOT NULL at commit");
-    assert_eq!(db.state(), &state_before, "failed commit rolled back");
+    let err = db.insert(&tname, vec![None; arity]);
+    assert!(err.is_err(), "all-NULL row must fail NOT NULL when it runs");
+    assert_eq!(db.state().rows(tid).len(), n, "rejected row never landed");
+    db.rollback().unwrap();
+    assert_eq!(
+        db.state(),
+        &state_before,
+        "rollback unwound the transaction"
+    );
+    assert_eq!(db.indexes(), &indexes_before);
+
+    db.begin();
+    db.apply_batch(round_trip).unwrap();
+    db.commit().unwrap();
+    assert_eq!(db.state(), &state_before, "the committed batch nets out");
     assert_eq!(db.indexes(), &indexes_before);
 }

@@ -6,7 +6,7 @@ use ridl_brm::DataType;
 use ridl_engine::Database;
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table};
 use ridl_server::json::{obj, Json};
-use ridl_server::{Client, Server, ServerConfig};
+use ridl_server::{Client, Server, ServerConfig, MAX_LINE_BYTES, MAX_TXN_OPS};
 
 fn sample_schema() -> RelSchema {
     let mut s = RelSchema::new("conf");
@@ -407,5 +407,80 @@ fn deeply_nested_request_is_a_proto_error() {
     assert_eq!(r.get("rows").and_then(Json::as_arr).unwrap().len(), 1);
     drop(c);
     drop(fresh);
+    server.shutdown().unwrap();
+}
+
+/// A request line over the byte cap is a `proto` error and closes the
+/// connection; a line at the cap is served, and new connections keep
+/// being served.
+#[test]
+fn overlong_request_line_is_a_proto_error_and_closes_the_connection() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    // Exactly MAX_LINE_BYTES with the newline: still served.
+    let req = insert_req("P1").to_string();
+    let padded = format!("{req}{}", " ".repeat(MAX_LINE_BYTES - 1 - req.len()));
+    assert!(Client::is_ok(&c.send_raw(&padded).unwrap()));
+    // One byte more: refused, and the connection closes.
+    let r = c.send_raw(&"x".repeat(MAX_LINE_BYTES)).unwrap();
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    assert!(c.request(query_all()).is_err(), "connection stays open");
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    let r = fresh.request(query_all()).unwrap();
+    assert_eq!(r.get("rows").and_then(Json::as_arr).unwrap().len(), 1);
+    drop(fresh);
+    server.shutdown().unwrap();
+}
+
+/// A write past the buffered-transaction cap is a `proto` error and is
+/// not buffered; the transaction stays open and commits what it holds.
+#[test]
+fn transaction_op_cap_is_a_proto_error() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    assert!(Client::is_ok(&c.command("begin").unwrap()));
+    for i in 0..MAX_TXN_OPS {
+        let r = c.request(insert_req(&format!("P{i}"))).unwrap();
+        assert!(Client::is_ok(&r), "{r}");
+    }
+    let r = c.request(insert_req("OVER")).unwrap();
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    let r = c.command("commit").unwrap();
+    assert_eq!(
+        r.get("changed").and_then(Json::as_i64),
+        Some(MAX_TXN_OPS as i64)
+    );
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    let r = fresh.request(query_all()).unwrap();
+    let rows = r.get("rows").and_then(Json::as_arr).unwrap().len();
+    assert_eq!(rows, MAX_TXN_OPS);
+    drop(c);
+    drop(fresh);
+    server.shutdown().unwrap();
+}
+
+/// A line that is not UTF-8 is a `proto` error; the connection keeps
+/// being served.
+#[test]
+fn non_utf8_request_line_is_a_proto_error() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start(ServerConfig::default());
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut read_response = |s: &mut std::net::TcpStream, bytes: &[u8]| {
+        s.write_all(bytes).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        ridl_server::json::parse(line.trim()).unwrap()
+    };
+    let r = read_response(&mut s, b"\xff\xfe{}\n");
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    let r = read_response(&mut s, format!("{}\n", insert_req("P1")).as_bytes());
+    assert!(Client::is_ok(&r), "{r}");
+    drop(s);
     server.shutdown().unwrap();
 }
