@@ -297,7 +297,6 @@ enforcement_counters! {
     server_requests => "server.requests",
     server_reads => "server.reads",
     server_writes => "server.writes",
-    server_busy_rejects => "server.busy_rejects",
     server_proto_errors => "server.proto_errors",
     server_commit_batches => "server.commit_batches",
     server_commit_batch_ops => "server.commit_batch_ops",

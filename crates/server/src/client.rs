@@ -65,8 +65,11 @@ impl Client {
     /// Unlike [`Client::request`] this does not manage ids — scripting
     /// callers own the whole line.
     pub fn send_raw(&mut self, line: &str) -> Result<Json, ClientError> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        // One write per line, so a request leaves as one segment.
+        let mut msg = String::with_capacity(line.len() + 1);
+        msg.push_str(line);
+        msg.push('\n');
+        self.stream.write_all(msg.as_bytes())?;
         let mut resp = String::new();
         let n = self.reader.read_line(&mut resp)?;
         if n == 0 {

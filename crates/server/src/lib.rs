@@ -14,11 +14,12 @@
 //! * **Serialized group-commit pipeline** ([`pipeline`]) — all writes
 //!   funnel through one committer thread that batches concurrent
 //!   sessions' statements into a single WAL fsync per batch.
-//! * **Admission control** ([`server`]) — bounded sessions, bounded
-//!   per-session in-flight requests, bounded commit queue; each limit
-//!   rejects with an explicit `busy` error rather than queueing
-//!   unboundedly. Request lines and buffered transactions are capped too
-//!   ([`MAX_LINE_BYTES`], [`MAX_TXN_OPS`]), answered with `proto`.
+//! * **Admission control** ([`server`]) — one thread per session, and
+//!   past `max_sessions` a connection is answered `busy` and closed. That
+//!   one limit also bounds the commit queue, since every session waits
+//!   for its write's verdict before reading on. Request lines and
+//!   buffered transactions are capped too ([`MAX_LINE_BYTES`],
+//!   [`MAX_TXN_OPS`]), answered with `proto`.
 //!
 //! See DESIGN.md §13 for the protocol grammar and the pipeline
 //! invariants.

@@ -1,10 +1,10 @@
 //! The serialized cross-session commit pipeline.
 //!
-//! All writes from all sessions funnel into one bounded queue drained by
-//! a single committer thread. The committer grabs whatever jobs are
-//! queued, applies them back to back under one engine lock hold — each
-//! statement appends its WAL unit *without* fsyncing (the store is opened
-//! with [`ridl_engine::FsyncPolicy::Never`]) — then issues **one**
+//! All writes from all sessions funnel into one queue drained by a single
+//! committer thread. The committer grabs whatever jobs are queued,
+//! applies them back to back under one engine lock hold — each statement
+//! appends its WAL unit *without* fsyncing (the store is opened with
+//! [`ridl_engine::FsyncPolicy::Never`]) — then issues **one**
 //! `flush_wal` fsync for the whole batch. That turns the engine's
 //! intra-statement group commit into a cross-session one: N concurrent
 //! writers cost one fsync, and the `wal.group_batch` histogram records N.
@@ -16,8 +16,12 @@
 //! * the published snapshot only ever advances at batch boundaries, after
 //!   the batch's fsync — readers never observe a state whose WAL is not
 //!   yet durable;
-//! * a full queue rejects new jobs immediately (`busy`) instead of
-//!   blocking the session thread — backpressure is explicit.
+//! * the queue is bounded by structure, not by a knob: a session submits
+//!   one job and blocks on its verdict before reading its next request,
+//!   so the queue holds at most `max_sessions` jobs of at most
+//!   [`crate::MAX_TXN_OPS`] ops each, and a pipelining client's unread
+//!   lines wait in its own socket buffer. The only refusal is a submit
+//!   after [`Core::stop`], answered `shutdown`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,7 +33,8 @@ use ridl_engine::{Database, EngineError};
 use ridl_obs::journal;
 use ridl_obs::Severity;
 
-use crate::proto::WriteOp;
+use crate::json::Json;
+use crate::proto::{engine_err_response, err_response, ok_response, ErrorCode, WriteOp};
 
 /// What a committed job reports back to its session.
 #[derive(Clone, PartialEq, Debug)]
@@ -64,20 +69,18 @@ pub(crate) struct Core {
     snapshot: RwLock<Arc<ReadSnapshot>>,
     queue: Mutex<VecDeque<WriteJob>>,
     queue_cv: Condvar,
-    queue_depth: usize,
     commit_seq: AtomicU64,
     stopping: AtomicBool,
 }
 
 impl Core {
-    pub fn new(db: Database, queue_depth: usize) -> Self {
+    pub fn new(db: Database) -> Self {
         let snapshot = Arc::new(db.snapshot_at(0));
         Self {
             db: Mutex::new(db),
             snapshot: RwLock::new(snapshot),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            queue_depth,
             commit_seq: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
         }
@@ -95,26 +98,37 @@ impl Core {
         self.commit_seq.load(Ordering::SeqCst)
     }
 
-    /// Enqueues a write, or rejects it immediately when the queue is at
-    /// capacity (backpressure) or the server is stopping.
-    pub fn submit(
-        &self,
-        kind: JobKind,
-    ) -> Result<mpsc::Receiver<Result<Committed, EngineError>>, &'static str> {
+    /// Enqueues a write; `None` once the server is stopping.
+    pub fn submit(&self, kind: JobKind) -> Option<mpsc::Receiver<Result<Committed, EngineError>>> {
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.queue.lock().expect("queue lock");
             if self.stopping.load(Ordering::SeqCst) {
-                return Err("server is shutting down");
-            }
-            if q.len() >= self.queue_depth {
-                ridl_obs::metrics().server_busy_rejects.inc();
-                return Err("commit queue full");
+                return None;
             }
             q.push_back(WriteJob { kind, reply: tx });
         }
         self.queue_cv.notify_one();
-        Ok(rx)
+        Some(rx)
+    }
+
+    /// Submits a write, waits for the committer's verdict and renders it
+    /// as the response line for request `id`.
+    pub fn commit(&self, id: i64, kind: JobKind) -> String {
+        let Some(rx) = self.submit(kind) else {
+            return err_response(id, ErrorCode::Shutdown, "server is shutting down");
+        };
+        match rx.recv() {
+            Ok(Ok(c)) => ok_response(
+                id,
+                [
+                    ("seq", Json::Int(c.seq as i64)),
+                    ("changed", Json::Int(c.changed as i64)),
+                ],
+            ),
+            Ok(Err(e)) => engine_err_response(id, &e),
+            Err(_) => err_response(id, ErrorCode::Shutdown, "committer stopped"),
+        }
     }
 
     /// Tells the committer to drain what is queued and exit.
@@ -275,7 +289,7 @@ mod tests {
     /// cross-session group commit, deterministically.
     #[test]
     fn queued_jobs_drain_as_one_group_commit_batch() {
-        let core = Arc::new(Core::new(sample_db(), 64));
+        let core = Arc::new(Core::new(sample_db()));
         let before = core.current_snapshot();
         let replies: Vec<_> = (0..5)
             .map(|i| core.submit(insert(&format!("P{i}"))).unwrap())
@@ -298,7 +312,7 @@ mod tests {
     /// A failing job inside a batch fails alone; its neighbours commit.
     #[test]
     fn per_job_errors_do_not_poison_the_batch() {
-        let core = Arc::new(Core::new(sample_db(), 64));
+        let core = Arc::new(Core::new(sample_db()));
         let a = core.submit(insert("DUP")).unwrap();
         let b = core.submit(insert("DUP")).unwrap(); // primary-key clash
         let c = core.submit(insert("OK")).unwrap();
@@ -314,22 +328,22 @@ mod tests {
         committer.join().unwrap();
     }
 
-    /// A full queue rejects instead of blocking (explicit backpressure).
+    /// Stopping is the pipeline's only refusal, and it reads `shutdown`.
     #[test]
-    fn full_queue_rejects_with_busy() {
-        let core = Arc::new(Core::new(sample_db(), 2));
-        core.submit(insert("A")).unwrap();
-        core.submit(insert("B")).unwrap();
-        assert!(core.submit(insert("C")).is_err());
-        let committer = spawn_committer(core.clone());
+    fn submit_after_stop_is_refused_as_shutdown() {
+        let core = Core::new(sample_db());
         core.stop();
-        committer.join().unwrap();
+        assert!(core.submit(insert("A")).is_none());
+        let line = crate::json::parse(&core.commit(7, insert("A"))).unwrap();
+        assert_eq!(line.get("id").and_then(Json::as_i64), Some(7));
+        assert_eq!(line.get("error").and_then(Json::as_str), Some("shutdown"));
+        assert_eq!(core.into_db().state().num_rows(), 0);
     }
 
     /// A transaction job is atomic: one bad op rolls the whole unit back.
     #[test]
     fn txn_jobs_are_atomic() {
-        let core = Arc::new(Core::new(sample_db(), 64));
+        let core = Arc::new(Core::new(sample_db()));
         let good = core.submit(insert("BASE")).unwrap();
         let txn = core
             .submit(JobKind::Txn(vec![

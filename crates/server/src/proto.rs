@@ -36,7 +36,8 @@ pub enum ErrorCode {
     Constraint,
     /// Transaction misuse (commit/rollback without begin, nested begin).
     Txn,
-    /// Admission control or backpressure rejected the request.
+    /// Admission control turned the connection away: the server already
+    /// holds `max_sessions` sessions. Sent once, before the close.
     Busy,
     /// The server is shutting down.
     Shutdown,

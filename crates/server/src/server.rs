@@ -1,23 +1,22 @@
 //! The TCP front-end: listener, session registry, admission control and
 //! graceful shutdown.
 //!
-//! One accepted connection = one session = two OS threads: a *reader*
-//! that parses request lines and a *worker* that executes them and
-//! writes responses. The reader feeds the worker through a bounded
-//! channel sized to the per-session in-flight limit; a client that
-//! pipelines past the limit gets an immediate `busy` error for the
-//! overflowing request instead of unbounded buffering.
+//! One accepted connection = one session = one OS thread that loops: read
+//! a request line (at most [`MAX_LINE_BYTES`]), parse it, handle it, write
+//! the response. A session never reads ahead of its reply, so a client
+//! that pipelines is served in order and its unread lines wait in its own
+//! socket buffer; no per-session queue exists to overflow.
 //!
-//! Admission control happens at `accept`: past `max_sessions` the
-//! connection is answered with one `busy` line and closed (a Warn
-//! `session.reject` journal event plus the `server.admission_rejects`
-//! counter — the bench asserts on both).
+//! Admission control at `accept` is the server's one overload surface:
+//! past `max_sessions` the connection is answered with one `busy` line and
+//! closed (a Warn `session.reject` journal event plus the
+//! `server.admission_rejects` counter — the bench asserts on both).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -46,23 +45,14 @@ pub const MAX_TXN_OPS: usize = 4096;
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Maximum concurrently admitted sessions; further connections are
-    /// answered `busy` and closed.
+    /// answered `busy` and closed. Since each session waits for its own
+    /// write's verdict, this also bounds the commit queue (DESIGN.md §13).
     pub max_sessions: usize,
-    /// Per-session pipelined-request limit; requests past it are answered
-    /// `busy` without executing.
-    pub max_inflight: usize,
-    /// Commit-pipeline queue bound; writes submitted while it is full are
-    /// answered `busy`.
-    pub queue_depth: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            max_sessions: 64,
-            max_inflight: 32,
-            queue_depth: 1024,
-        }
+        Self { max_sessions: 64 }
     }
 }
 
@@ -70,9 +60,10 @@ struct Inner {
     core: Arc<Core>,
     cfg: ServerConfig,
     addr: SocketAddr,
-    /// Stream handles of live sessions, for shutdown to unblock readers.
+    /// Stream handles of live sessions, for shutdown to unblock their reads.
     sessions: Mutex<HashMap<u64, TcpStream>>,
-    /// Worker/reader thread handles, joined at shutdown.
+    /// Session thread handles: finished ones are joined on each accept,
+    /// the rest at shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
     next_session: AtomicU64,
     shutting_down: AtomicBool,
@@ -90,6 +81,11 @@ impl Inner {
     fn live_sessions(&self) -> usize {
         self.sessions.lock().expect("session registry").len()
     }
+
+    /// Removes a session from the registry, returning its stream handle.
+    fn unregister(&self, sid: u64) -> Option<TcpStream> {
+        self.sessions.lock().expect("session registry").remove(&sid)
+    }
 }
 
 /// A running server. Dropping it without [`Server::shutdown`] aborts the
@@ -106,7 +102,7 @@ impl Server {
     pub fn start(db: Database, addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let core = Arc::new(Core::new(db, cfg.queue_depth));
+        let core = Arc::new(Core::new(db));
         let committer = spawn_committer(core.clone());
         let inner = Arc::new(Inner {
             core: core.clone(),
@@ -177,7 +173,7 @@ impl Server {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        // Unblock session readers and join the per-session threads.
+        // Unblock the session threads' reads and join them.
         for (_, s) in self
             .inner
             .sessions
@@ -235,6 +231,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
             return;
         }
         let Ok(stream) = stream else { continue };
+        reap_finished(inner);
         let m = ridl_obs::metrics();
         if inner.live_sessions() >= inner.cfg.max_sessions {
             m.server_admission_rejects.inc();
@@ -286,61 +283,90 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
             ],
         );
         let session_inner = inner.clone();
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(format!("ridl-session-{sid}"))
-            .spawn(move || session_threads(sid, stream, &session_inner));
-        if let Ok(handle) = handle {
-            inner.threads.lock().expect("thread registry").push(handle);
+            .spawn(move || session_loop(sid, stream, &session_inner));
+        match spawned {
+            Ok(handle) => inner.threads.lock().expect("thread registry").push(handle),
+            Err(e) => {
+                // No thread will serve or unregister the session: free its
+                // slot and close the connection here.
+                if let Some(s) = inner.unregister(sid) {
+                    let _ = s.shutdown(Shutdown::Both);
+                }
+                journal::record(
+                    Severity::Error,
+                    "session.spawn_fail",
+                    vec![("sid", sid.into()), ("detail", e.to_string().into())],
+                );
+            }
         }
     }
 }
 
-/// Runs the session: spawns the reader, executes requests in this (the
-/// worker) thread, and unregisters on exit.
-fn session_threads(sid: u64, stream: TcpStream, inner: &Arc<Inner>) {
-    let writer = Arc::new(Mutex::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            inner
-                .sessions
-                .lock()
-                .expect("session registry")
-                .remove(&sid);
-            return;
-        }
-    }));
-    let (tx, rx) = mpsc::sync_channel::<(i64, Request)>(inner.cfg.max_inflight);
-    let reader_writer = writer.clone();
-    let reader = std::thread::Builder::new()
-        .name(format!("ridl-read-{sid}"))
-        .spawn(move || read_loop(stream, &tx, &reader_writer));
+/// Joins the threads of sessions that have ended, so a long-running
+/// server keeps one handle (and one thread stack) per live session rather
+/// than one per connection it ever served.
+fn reap_finished(inner: &Inner) {
+    let mut threads = inner.threads.lock().expect("thread registry");
+    for t in threads.extract_if(.., |t| t.is_finished()) {
+        let _ = t.join();
+    }
+}
 
+/// Serves one session on this thread: reads a request line, handles it
+/// and writes its response, in order, until the client disconnects, a
+/// write fails, or a line exceeds [`MAX_LINE_BYTES`]. Lines that are not
+/// UTF-8 or do not parse are answered with `proto` and the session goes
+/// on.
+fn session_loop(sid: u64, stream: TcpStream, inner: &Arc<Inner>) {
     let mut session = Session {
         sid,
         inner: inner.clone(),
         txn: None,
         requests: 0,
     };
-    while let Ok((id, req)) = rx.recv() {
-        let quit = matches!(req, Request::Shutdown);
-        let line = session.handle(id, req);
-        if write_line(&writer, &line).is_err() {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) if n > MAX_LINE_BYTES => {
+                ridl_obs::metrics().server_proto_errors.inc();
+                let detail = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let _ = write_line(reader.get_mut(), err_response(0, ErrorCode::Proto, &detail));
+                break;
+            }
+            Ok(_) => {}
+        }
+        let mut quit = false;
+        let response = match std::str::from_utf8(&buf).map(str::trim) {
+            Ok("") => continue,
+            Ok(line) => match parse_request(line) {
+                Ok((id, req)) => {
+                    quit = matches!(req, Request::Shutdown);
+                    session.handle(id, req)
+                }
+                Err((code, detail)) => {
+                    ridl_obs::metrics().server_proto_errors.inc();
+                    err_response(0, code, &detail)
+                }
+            },
+            Err(_) => {
+                ridl_obs::metrics().server_proto_errors.inc();
+                err_response(0, ErrorCode::Proto, "request line is not UTF-8")
+            }
+        };
+        if write_line(reader.get_mut(), response).is_err() {
             break;
         }
         if quit {
             inner.request_shutdown();
         }
     }
-    if let Ok(reader) = reader {
-        // The reader exits when the stream closes; shutdown closes it for
-        // us, and a client disconnect already ended it.
-        let _ = reader.join();
-    }
-    inner
-        .sessions
-        .lock()
-        .expect("session registry")
-        .remove(&sid);
+    inner.unregister(sid);
     journal::record(
         Severity::Info,
         "session.disconnect",
@@ -348,72 +374,12 @@ fn session_threads(sid: u64, stream: TcpStream, inner: &Arc<Inner>) {
     );
 }
 
-/// Parses request lines and feeds the worker, answering `busy` itself
-/// when the in-flight window is full and `proto` on parse errors, on
-/// lines that are not UTF-8, and (closing the connection) on a line
-/// longer than [`MAX_LINE_BYTES`].
-fn read_loop(
-    stream: TcpStream,
-    tx: &mpsc::SyncSender<(i64, Request)>,
-    writer: &Arc<Mutex<TcpStream>>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let cap = MAX_LINE_BYTES as u64 + 1;
-        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) if n > MAX_LINE_BYTES => {
-                ridl_obs::metrics().server_proto_errors.inc();
-                let detail = format!("request line longer than {MAX_LINE_BYTES} bytes");
-                let _ = write_line(writer, &err_response(0, ErrorCode::Proto, &detail));
-                return;
-            }
-            Ok(_) => {}
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            ridl_obs::metrics().server_proto_errors.inc();
-            let resp = err_response(0, ErrorCode::Proto, "request line is not UTF-8");
-            if write_line(writer, &resp).is_err() {
-                return;
-            }
-            continue;
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match parse_request(trimmed) {
-            Ok((id, req)) => match tx.try_send((id, req)) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    ridl_obs::metrics().server_busy_rejects.inc();
-                    if write_line(
-                        writer,
-                        &err_response(id, ErrorCode::Busy, "in-flight limit"),
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => return,
-            },
-            Err((code, detail)) => {
-                ridl_obs::metrics().server_proto_errors.inc();
-                if write_line(writer, &err_response(0, code, &detail)).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn write_line(writer: &Arc<Mutex<TcpStream>>, line: &str) -> std::io::Result<()> {
-    let mut s = writer.lock().expect("session writer");
-    s.write_all(line.as_bytes())?;
-    s.write_all(b"\n")
+/// Writes one response line, newline included, in a single write so it
+/// leaves as one segment on the `TCP_NODELAY` socket.
+fn write_line(stream: &mut TcpStream, line: String) -> std::io::Result<()> {
+    let mut bytes = line.into_bytes();
+    bytes.push(b'\n');
+    stream.write_all(&bytes)
 }
 
 struct Session {
@@ -510,7 +476,7 @@ impl Session {
                     buf.push(op);
                     return ok_response(id, [("buffered", Json::Bool(true))]);
                 }
-                self.submit(id, JobKind::Single(op))
+                self.inner.core.commit(id, JobKind::Single(op))
             }
             Request::Begin => {
                 if self.txn.is_some() {
@@ -523,7 +489,7 @@ impl Session {
                 None => err_response(id, ErrorCode::Txn, "no open transaction"),
                 Some(ops) => {
                     ridl_obs::metrics().server_writes.inc();
-                    self.submit(id, JobKind::Txn(ops))
+                    self.inner.core.commit(id, JobKind::Txn(ops))
                 }
             },
             Request::Rollback => match self.txn.take() {
@@ -571,24 +537,6 @@ impl Session {
             Err(e) => engine_err_response(id, &e),
         }
     }
-
-    /// Submits a write job and waits for the committer's verdict.
-    fn submit(&self, id: i64, kind: JobKind) -> String {
-        match self.inner.core.submit(kind) {
-            Err(detail) => err_response(id, ErrorCode::Busy, detail),
-            Ok(rx) => match rx.recv() {
-                Ok(Ok(c)) => ok_response(
-                    id,
-                    [
-                        ("seq", Json::Int(c.seq as i64)),
-                        ("changed", Json::Int(c.changed as i64)),
-                    ],
-                ),
-                Ok(Err(e)) => engine_err_response(id, &e),
-                Err(_) => err_response(id, ErrorCode::Shutdown, "committer stopped"),
-            },
-        }
-    }
 }
 
 fn cmd_name(req: &Request) -> &'static str {
@@ -606,5 +554,49 @@ fn cmd_name(req: &Request) -> &'static str {
         Request::Rollback => "rollback",
         Request::Status => "status",
         Request::Shutdown => "shutdown",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ridl_brm::DataType;
+    use ridl_relational::{Column, RelSchema, Table};
+
+    /// Sequential connect/hello/close cycles keep one thread handle per
+    /// live session (plus at most one whose thread is still ending), not
+    /// one per connection ever served.
+    #[test]
+    fn finished_session_threads_are_reaped() {
+        let mut s = RelSchema::new("t");
+        let d = s.domain("D", DataType::Char(8));
+        s.add_table(Table::new("Paper", vec![Column::not_null("Paper_Id", d)]));
+        let db = Database::create(s).unwrap();
+        let server = Server::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = server.addr().to_string();
+        let retained = || server.inner.threads.lock().unwrap().len();
+        let wait_closed = || {
+            let deadline = Instant::now() + std::time::Duration::from_secs(5);
+            while server.session_count() > 0 {
+                assert!(Instant::now() < deadline, "session never closed");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        for _ in 0..50 {
+            let mut c = crate::Client::connect(&addr).unwrap();
+            assert!(crate::Client::is_ok(&c.hello("cycle").unwrap()));
+            assert!(retained() <= server.session_count() + 1);
+            drop(c);
+            wait_closed();
+        }
+        let mut c = crate::Client::connect(&addr).unwrap();
+        assert!(crate::Client::is_ok(&c.hello("last").unwrap()));
+        let (held, live) = (retained(), server.session_count());
+        assert!(
+            held <= live + 1,
+            "{held} handles kept for {live} live sessions"
+        );
+        drop(c);
+        server.shutdown().unwrap();
     }
 }

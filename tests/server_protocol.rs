@@ -1,6 +1,6 @@
 //! End-to-end tests for the multi-session server: wire protocol
-//! round-trips, admission control, backpressure, and the server-level
-//! snapshot-isolation guarantees (satellite of ISSUE 10).
+//! round-trips, admission control, in-order pipelining, and the
+//! server-level snapshot-isolation guarantees.
 
 use ridl_brm::DataType;
 use ridl_engine::Database;
@@ -171,10 +171,7 @@ fn protocol_round_trips_the_full_command_set() {
 
 #[test]
 fn admission_control_rejects_past_the_session_limit() {
-    let server = start(ServerConfig {
-        max_sessions: 1,
-        ..ServerConfig::default()
-    });
+    let server = start(ServerConfig { max_sessions: 1 });
     let addr = server.addr().to_string();
     let mut c1 = Client::connect(&addr).unwrap();
     assert!(Client::is_ok(&c1.hello("first").unwrap()));
@@ -218,7 +215,6 @@ fn admission_control_rejects_past_the_session_limit() {
     const WAVE: usize = LIMIT + 8;
     let server = start(ServerConfig {
         max_sessions: LIMIT,
-        ..ServerConfig::default()
     });
     let addr = server.addr().to_string();
     let start_line = std::sync::Arc::new(std::sync::Barrier::new(WAVE));
@@ -481,6 +477,71 @@ fn non_utf8_request_line_is_a_proto_error() {
     assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
     let r = read_response(&mut s, format!("{}\n", insert_req("P1")).as_bytes());
     assert!(Client::is_ok(&r), "{r}");
+    drop(s);
+    server.shutdown().unwrap();
+}
+
+/// A client that pipelines is served in order: 40 request lines sent in
+/// one write, among them one that does not parse and one that is not
+/// UTF-8, get 40 responses in request order, each id echoed and `proto`
+/// at the two bad positions, and the connection stays open.
+#[test]
+fn pipelined_requests_are_served_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    const LINES: usize = 40;
+    // Both bad lines stand where a query would: every insert still runs.
+    const UNPARSABLE: usize = 11;
+    const NOT_UTF8: usize = 27;
+    let server = start(ServerConfig::default());
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut burst = Vec::new();
+    for i in 0..LINES {
+        match i {
+            UNPARSABLE => burst.extend_from_slice(b"this is not json"),
+            NOT_UTF8 => burst.extend_from_slice(b"\xff\xfe{}"),
+            _ => {
+                let mut req = if i % 2 == 0 {
+                    insert_req(&format!("P{i}"))
+                } else {
+                    query_all()
+                };
+                if let Json::Obj(fields) = &mut req {
+                    fields.insert("id".into(), Json::Int(i as i64 + 1));
+                }
+                burst.extend_from_slice(req.to_string().as_bytes());
+            }
+        }
+        burst.push(b'\n');
+    }
+    s.write_all(&burst).unwrap();
+
+    let mut read_response = || {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "connection closed"
+        );
+        ridl_server::json::parse(line.trim()).unwrap()
+    };
+    for i in 0..LINES {
+        let r = read_response();
+        if i == UNPARSABLE || i == NOT_UTF8 {
+            assert_eq!(Client::error_code(&r), Some("proto"), "line {i}: {r}");
+        } else {
+            assert!(Client::is_ok(&r), "line {i}: {r}");
+            assert_eq!(
+                r.get("id").and_then(Json::as_i64),
+                Some(i as i64 + 1),
+                "{r}"
+            );
+        }
+    }
+    s.write_all(format!("{}\n", query_all()).as_bytes())
+        .unwrap();
+    let r = read_response();
+    let rows = r.get("rows").and_then(Json::as_arr).unwrap();
+    assert_eq!(rows.len(), LINES / 2, "{r}");
     drop(s);
     server.shutdown().unwrap();
 }
